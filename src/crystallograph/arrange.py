@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from .crystal import (
     ComponentReport,
+    InconsistencyError,
     classify_projective_components,
     is_projective_crystallograph,
 )
@@ -23,7 +24,6 @@ from .graphs import (
     Hyperplane,
     loop,
     straight,
-    weyl_act_graph,
 )
 from .quotient import quotient_graph
 from .rootsys import SignedPermutation, enumeration_limit, weyl_group
@@ -81,9 +81,10 @@ def quotient_projective(g: ColouredGraph, gp: ColouredGraph) -> ColouredGraph:
         if pa is not None and pb is not None:
             if pa != pb:
                 edges.add(straight(pa, pb, e.colour))
-            else:
-                assert e.colour == GREEN
+            elif e.colour == GREEN:
                 edges.add(loop(pa, BLUE))
+            else:
+                raise InconsistencyError(f"red edge {e} inside a red component of gp")
         elif pa is not None:
             edges.add(loop(pa, BLUE))
         elif pb is not None:
@@ -124,9 +125,3 @@ def arrangements_equivalent(
             return w
     return None
 
-
-def graph_arrangement_orbit_matches(g: ColouredGraph, model: ColouredGraph) -> bool:
-    """Whether some Weyl element maps g onto the model graph (same n)."""
-    if g.n != model.n:
-        return False
-    return any(weyl_act_graph(w, g) == model for w in weyl_group(g.n))

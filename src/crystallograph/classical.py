@@ -107,14 +107,6 @@ def graph_pairs_and_points(r: int, s: int) -> ColouredGraph:
     return ColouredGraph(2 * r + s, frozenset(edges))
 
 
-def projective_graph_a(m: int) -> ColouredGraph:
-    return ColouredGraph(m, graph_a(m).edges, TRICHROMATIC)
-
-
-def projective_graph_d(m: int) -> ColouredGraph:
-    return ColouredGraph(m, graph_d(m).edges, TRICHROMATIC)
-
-
 def projective_graph_borc(m: int) -> ColouredGraph:
     """Simply-laced complete bichromatic plus a blue loop at every node."""
     edges = _bichromatic_clique(range(1, m + 1))

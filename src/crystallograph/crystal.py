@@ -14,6 +14,14 @@ still doubles but the green loop need not propagate.  Projective
 crystallographs are the trichromatic analogue where blue is the unique loop
 colour and propagates like a red loop.
 
+Both rules are Horn implications "slot s and slot t force these slots" over
+the n^2 + n edge slots of `all_edge_slots`.  A graph is an integer mask over
+those slots (`slot_mask`), `closure_rules` lists the implications per slot,
+and `closed` checks a mask against them.  A blue loop takes the red-loop
+slot, so the projective predicate is the quasi check.  The rules are written
+from the two statements above, never from reflections, so the sweeps in
+`oracle` still compare two independent routes.
+
 Every graph passing these predicates decomposes into connected components
 drawn from a short list of models; `classify_components` finds the
 decomposition and raises if a component matches nothing, which would mean
@@ -24,6 +32,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 
 from . import linalg
@@ -45,7 +54,6 @@ from .graphs import (
     connected_components,
     disjoint_union,
     empty_graph,
-    flip_colour,
     graph_from_roots,
     graph_to_json,
     loop,
@@ -76,44 +84,95 @@ class InconsistencyError(RuntimeError):
 # closure predicates
 
 
-def _edge_index(g: ColouredGraph):
-    straights: dict[tuple[int, int], set[str]] = {}
-    loops: dict[int, set[str]] = {}
-    incident: dict[int, list[tuple[int, str]]] = {}
+def _straight_slot(n: int, i: int, j: int, green: bool) -> int:
+    """Slot of straight {i, j} (i < j) in the order of all_edge_slots(n)."""
+    return 2 * ((i - 1) * n - (i - 1) * i // 2 + j - i - 1) + green
+
+
+def _loop_slot(n: int, k: int, green: bool) -> int:
+    return n * (n - 1) + 2 * (k - 1) + green
+
+
+CRYSTAL_PROPAGATING = frozenset((RED, GREEN))
+QUASI_PROPAGATING = frozenset((RED,))
+
+HornRules = tuple[tuple[tuple[int, int], ...], ...]
+
+
+@cache
+def closure_rules(n: int, propagating: frozenset[str]) -> HornRules:
+    """Both closure rules as Horn implications over the n^2 + n edge slots.
+
+    Entry s lists pairs (partner bit, required mask): a graph holding slot
+    s and the partner must hold every slot of the required mask.  Each
+    implication is listed once, under the later of its two premise slots,
+    with partners in increasing order.  Loop colours in `propagating`
+    spread along straight edges; the slots follow all_edge_slots(n).
+    """
+    rules: list[list[tuple[int, int]]] = [[] for _ in range(n * n + n)]
+    nodes = range(1, n + 1)
+
+    def straight_slot(a: int, b: int, green: bool) -> int:
+        return _straight_slot(n, a, b, green) if a < b else _straight_slot(n, b, a, green)
+
+    # rule 1: straight edges {v,a} and {v,b} force {a,b}, red when their
+    # colours agree and green otherwise
+    for v in nodes:
+        for a in nodes:
+            for b in range(a + 1, n + 1):
+                if v in (a, b):
+                    continue
+                for ga in (False, True):
+                    for gb in (False, True):
+                        s = straight_slot(v, a, ga)
+                        t = straight_slot(v, b, gb)
+                        need = 1 << straight_slot(a, b, ga != gb)
+                        rules[max(s, t)].append((1 << min(s, t), need))
+    # rule 2: a loop at k next to straight {k,b} forces {k,b} in the other
+    # colour, and a propagating loop colour forces the same loop at b
+    for k in nodes:
+        for green_loop, colour in ((False, RED), (True, GREEN)):
+            spreads = colour in propagating
+            for b in nodes:
+                if b == k:
+                    continue
+                for green in (False, True):
+                    need = 1 << straight_slot(k, b, not green)
+                    if spreads:
+                        need |= 1 << _loop_slot(n, b, green_loop)
+                    partner = 1 << straight_slot(k, b, green)
+                    rules[_loop_slot(n, k, green_loop)].append((partner, need))
+    return tuple(tuple(sorted(r)) for r in rules)
+
+
+def slot_mask(g: ColouredGraph) -> int:
+    """The graph's edges as a mask over all_edge_slots(g.n).
+
+    A blue loop takes the red-loop slot, so a projective graph is checked
+    with the rules in which red propagates.
+    """
+    n = g.n
+    mask = 0
     for e in g.edges:
-        if e.is_loop:
-            loops.setdefault(e.ends[0], set()).add(e.colour)
+        ends = e.ends
+        green = e.colour == GREEN
+        if len(ends) == 1:
+            mask |= 1 << _loop_slot(n, ends[0], green)
         else:
-            i, j = e.ends
-            straights.setdefault((i, j), set()).add(e.colour)
-            incident.setdefault(i, []).append((j, e.colour))
-            incident.setdefault(j, []).append((i, e.colour))
-    return straights, loops, incident
+            mask |= 1 << _straight_slot(n, ends[0], ends[1], green)
+    return mask
 
 
-_NONE: set[str] = set()
-
-
-def _closure_holds(g: ColouredGraph, propagating: frozenset[str]) -> bool:
-    """Check both closure rules; loop colours in `propagating` must spread."""
-    straights, loops, incident = _edge_index(g)
-    for inc in incident.values():
-        for (a, ca), (b, cb) in combinations(inc, 2):
-            if a == b:
-                continue
-            need = RED if ca == cb else GREEN
-            key = (a, b) if a < b else (b, a)
-            if need not in straights.get(key, _NONE):
+def closed(mask: int, rules: HornRules) -> bool:
+    """Whether the slot mask satisfies every implication of `rules`."""
+    missing = ~mask
+    m = mask
+    while m:
+        low = m & -m
+        for partner, required in rules[low.bit_length() - 1]:
+            if partner & mask and required & missing:
                 return False
-    for k, loop_cols in loops.items():
-        for b, cs in incident.get(k, ()):
-            key = (k, b) if k < b else (b, k)
-            if flip_colour(cs) not in straights[key]:
-                return False
-            far = loops.get(b, _NONE)
-            for lc in loop_cols:
-                if lc in propagating and lc not in far:
-                    return False
+        m ^= low
     return True
 
 
@@ -121,14 +180,14 @@ def is_crystallograph(g: ColouredGraph) -> bool:
     """Whether the graph of a symmetric subset is closed under reflections."""
     if g.palette != BICHROMATIC:
         raise ValueError("is_crystallograph needs a bichromatic graph")
-    return _closure_holds(g, frozenset((RED, GREEN)))
+    return closed(slot_mask(g), closure_rules(g.n, CRYSTAL_PROPAGATING))
 
 
 def is_quasi_crystallograph(g: ColouredGraph) -> bool:
     """Crystallograph rules with green loops exempt from propagating."""
     if g.palette != BICHROMATIC:
         raise ValueError("is_quasi_crystallograph needs a bichromatic graph")
-    return _closure_holds(g, frozenset((RED,)))
+    return closed(slot_mask(g), closure_rules(g.n, QUASI_PROPAGATING))
 
 
 def is_projective_crystallograph(g: ColouredGraph) -> bool:
@@ -137,7 +196,7 @@ def is_projective_crystallograph(g: ColouredGraph) -> bool:
         raise ValueError("is_projective_crystallograph needs a trichromatic graph")
     if any(e.is_loop and e.colour != BLUE for e in g.edges):
         return False
-    return _closure_holds(g, frozenset((BLUE,)))
+    return closed(slot_mask(g), closure_rules(g.n, QUASI_PROPAGATING))
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +473,8 @@ def rank(g: ColouredGraph) -> int:
 # enumeration
 
 
-def all_edge_slots(n: int) -> list[Edge]:
+@cache
+def all_edge_slots(n: int) -> tuple[Edge, ...]:
     """The n^2 + n possible bichromatic edges on n nodes, in a fixed order."""
     slots: list[Edge] = []
     for i in range(1, n + 1):
@@ -424,15 +484,19 @@ def all_edge_slots(n: int) -> list[Edge]:
     for k in range(1, n + 1):
         slots.append(loop(k, RED))
         slots.append(loop(k, GREEN))
-    return slots
+    return tuple(slots)
+
+
+def graph_from_slot_mask(n: int, mask: int) -> ColouredGraph:
+    """The bichromatic graph whose edges are the set bits of a slot mask."""
+    slots = all_edge_slots(n)
+    return ColouredGraph(n, frozenset(slots[b] for b in range(len(slots)) if mask >> b & 1))
 
 
 def all_bichromatic_graphs(n: int):
     """Every bichromatic graph on n nodes (2^(n^2+n) of them), mask order."""
-    slots = all_edge_slots(n)
-    for mask in range(1 << len(slots)):
-        edges = frozenset(slots[b] for b in range(len(slots)) if mask >> b & 1)
-        yield ColouredGraph(n, edges)
+    for mask in range(1 << (n * n + n)):
+        yield graph_from_slot_mask(n, mask)
 
 
 def _classical_component_menu(m: int) -> list[tuple[str, ColouredGraph]]:
@@ -451,7 +515,8 @@ def _orbit_canonical(g: ColouredGraph) -> tuple[str, ColouredGraph]:
         key = graph_to_json(image)
         if best is None or key < best[0]:
             best = (key, image)
-    assert best is not None
+    if best is None:
+        raise InconsistencyError(f"the Weyl group of BC_{g.n} listed no element")
     return best
 
 
@@ -497,7 +562,9 @@ def enumerate_crystallographs(n: int, mode: str = "all"):
         return
     if n > enumeration_limit(4):
         raise ValueError(f"n={n} exceeds the enumeration limit {enumeration_limit(4)}")
-    predicate = is_crystallograph if mode == "all" else is_quasi_crystallograph
-    found = [g for g in all_bichromatic_graphs(n) if predicate(g)]
+    rules = closure_rules(n, CRYSTAL_PROPAGATING if mode == "all" else QUASI_PROPAGATING)
+    found = [
+        graph_from_slot_mask(n, mask) for mask in range(1 << (n * n + n)) if closed(mask, rules)
+    ]
     found.sort(key=graph_to_json)
     yield from found

@@ -308,22 +308,35 @@ def graph_to_json(g: ColouredGraph) -> str:
     return json.dumps(graph_to_json_obj(g), separators=(",", ":"))
 
 
+def _json_node(item: dict, key: str) -> int:
+    value = item.get(key)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"edge {item!r}: {key!r} must be an integer node")
+    return value
+
+
 def graph_from_json_obj(obj: dict) -> ColouredGraph:
+    if not isinstance(obj, dict):
+        raise ValueError("a graph must be a JSON object")
     try:
         palette = obj["palette"]
         n = obj["nodes"]
         raw_edges = obj["edges"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ValueError(f"malformed graph object: missing {exc}") from None
-    if not isinstance(n, int):
+    if isinstance(n, bool) or not isinstance(n, int):
         raise ValueError("'nodes' must be an integer")
+    if not isinstance(raw_edges, list):
+        raise ValueError("'edges' must be a list")
     edges: set[Edge] = set()
     for item in raw_edges:
+        if not isinstance(item, dict):
+            raise ValueError(f"edge {item!r} is not an object")
         kind = item.get("kind")
         if kind == "straight":
-            edges.add(straight(item["i"], item["j"], item["colour"]))
+            edges.add(straight(_json_node(item, "i"), _json_node(item, "j"), item.get("colour")))
         elif kind == "loop":
-            edges.add(loop(item["k"], item["colour"]))
+            edges.add(loop(_json_node(item, "k"), item.get("colour")))
         else:
             raise ValueError(f"unknown edge kind: {kind!r}")
     return ColouredGraph(n, frozenset(edges), palette)

@@ -24,11 +24,17 @@ from math import comb
 from . import linalg
 from .arrange import verify_projectification_compatibility
 from .crystal import (
+    CRYSTAL_PROPAGATING,
+    QUASI_PROPAGATING,
     Component,
     InconsistencyError,
     all_edge_slots,
     bipartite_normalize,
     classify_components,
+    closed,
+    closure_rules,
+    enumerate_crystallographs,
+    graph_from_slot_mask,
     is_crystallograph,
     is_quasi_crystallograph,
     model_edges,
@@ -290,9 +296,7 @@ def count_weyl_orbits(n: int) -> int:
 
 
 def random_bichromatic_graph(n: int, rng: random.Random) -> ColouredGraph:
-    slots = all_edge_slots(n)
-    mask = rng.getrandbits(len(slots))
-    return ColouredGraph(n, frozenset(s for b, s in enumerate(slots) if mask >> b & 1))
+    return graph_from_slot_mask(n, rng.getrandbits(n * n + n))
 
 
 def random_crystallograph(n: int, rng: random.Random) -> ColouredGraph:
@@ -345,15 +349,17 @@ def nested_pairs_exhaustive(n: int):
     """Every nested crystallograph pair (gp classical) on n nodes; n <= 3."""
     if n > enumeration_limit(3):
         raise ValueError(f"n={n} exceeds the exhaustive pair limit {enumeration_limit(3)}")
-    from .crystal import enumerate_crystallographs
-
+    rules = closure_rules(n, CRYSTAL_PROPAGATING)
+    slot_of = {e: b for b, e in enumerate(all_edge_slots(n))}
     for g in enumerate_crystallographs(n, "all"):
         edge_list = g.sorted_edges()
-        for mask in range(1 << len(edge_list)):
-            edges = frozenset(e for b, e in enumerate(edge_list) if mask >> b & 1)
-            gp = ColouredGraph(n, edges)
-            if not is_crystallograph(gp):
+        # subsets of g's edges, counted in sorted-edge order, as slot masks
+        to_slots = _mask_map_tables([slot_of[e] for e in edge_list])
+        for sub in range(1 << len(edge_list)):
+            mask = _mask_map_apply(to_slots, sub)
+            if not closed(mask, rules):
                 continue
+            gp = graph_from_slot_mask(n, mask)
             if classify_components(gp).has_bipartite():
                 continue
             yield g, gp
@@ -384,11 +390,14 @@ class EnumerationSummary:
 
 
 def bijection_sweep(n: int, samples: int | None = None, seed: int = RNG_DEFAULT_SEED):
-    """Compare is_crystallograph with the reflection-closure mask oracle.
+    """Compare the graph closure rules with the reflection-closure mask oracle.
 
     Exhaustive when samples is None (all 2^(n^2+n) graphs); otherwise over
-    `samples` seeded random graphs.  Returns (checked, crystallograph_list,
-    quasi_count, failures).
+    `samples` seeded random graphs.  Each slot mask is checked against both
+    rule sets and, translated to lines, against the oracle; only graphs that
+    either side accepts are built, and those also go through
+    is_crystallograph.  Returns (checked, crystallograph_list, quasi_count,
+    failures).
     """
     tables = line_tables(n)
     slots = all_edge_slots(n)
@@ -399,6 +408,8 @@ def bijection_sweep(n: int, samples: int | None = None, seed: int = RNG_DEFAULT_
         slot_line.append(tables.index[_canon_line(min(pair))])
     nslots = len(slots)
     translate = _mask_map_tables(slot_line)
+    full_rules = closure_rules(n, CRYSTAL_PROPAGATING)
+    quasi_rules = closure_rules(n, QUASI_PROPAGATING)
 
     if samples is None:
         masks = range(1 << nslots)
@@ -412,16 +423,15 @@ def bijection_sweep(n: int, samples: int | None = None, seed: int = RNG_DEFAULT_
     checked = 0
     for mask in masks:
         checked += 1
-        edges = frozenset(slots[b] for b in range(nslots) if mask >> b & 1)
-        g = ColouredGraph(n, edges)
-        graph_side = is_crystallograph(g)
-        line_mask = _mask_map_apply(translate, mask)
-        root_side = tables.is_subsystem(line_mask)
-        if graph_side != root_side:
-            failures.append(f"bijection mismatch: {graph_to_json(g)}")
-        if graph_side:
-            crystallographs.append(g)
-        if is_quasi_crystallograph(g):
+        graph_side = closed(mask, full_rules)
+        root_side = tables.is_subsystem(_mask_map_apply(translate, mask))
+        if graph_side or root_side:
+            g = graph_from_slot_mask(n, mask)
+            if not graph_side == root_side == is_crystallograph(g):
+                failures.append(f"bijection mismatch: {graph_to_json(g)}")
+            if graph_side:
+                crystallographs.append(g)
+        if closed(mask, quasi_rules):
             quasi_count += 1
     return checked, crystallographs, quasi_count, failures
 

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .crystal import classify_components, is_crystallograph
+from .crystal import InconsistencyError, classify_components, is_crystallograph
 from .graphs import (
     GREEN,
     RED,
@@ -155,10 +155,11 @@ def quotient_graph(g: ColouredGraph, gp: ColouredGraph) -> ColouredGraph:
         if pa is not None and pb is not None:
             if pa != pb:
                 edges.add(straight(pa, pb, e.colour))
+            elif e.colour == GREEN:
+                edges.add(loop(pa, GREEN))
             else:
                 # a red edge inside a part would already belong to gp's clique
-                assert e.colour == GREEN
-                edges.add(loop(pa, GREEN))
+                raise InconsistencyError(f"red edge {e} inside a red component of gp")
         elif pa is not None:
             edges.add(loop(pa, RED))
         elif pb is not None:

@@ -38,7 +38,10 @@ def enumeration_limit(default: int) -> int:
     raw = os.environ.get(MAX_N_ENV)
     if raw is None:
         return default
-    return int(raw)
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{MAX_N_ENV} must be an integer, got {raw!r}") from None
 
 
 def dot(u: tuple[int, ...], v: tuple[int, ...]) -> int:
@@ -89,6 +92,10 @@ def reflect(alpha: Root, beta: Root) -> Root:
     return tuple(int(x) for x in image)
 
 
+def _negate(alpha: Root) -> Root:
+    return tuple(-c for c in alpha)
+
+
 def is_symmetric(phi: frozenset[Root] | set[Root]) -> bool:
     """True iff the set is closed under negation."""
     return all(tuple(-c for c in alpha) in phi for alpha in phi)
@@ -112,11 +119,21 @@ def reflection_closure(phi: frozenset[Root] | set[Root]) -> RootSet:
     if not is_symmetric(phi):
         raise ValueError("reflection_closure requires a symmetric input set")
     current: set[Root] = set(phi)
-    while True:
-        new = {reflect(a, b) for a in current for b in current}
-        if new <= current:
-            return frozenset(current)
-        current |= new
+    # One root per line suffices: s_{-a} = s_a and s_a(-b) = -s_a(b).  Each
+    # pair of lines is reflected both ways once, when the later of the two
+    # leaves the worklist.
+    pending = [a for a in current if a > _negate(a)]
+    done: list[Root] = []
+    while pending:
+        a = pending.pop()
+        done.append(a)
+        for b in done:
+            for image in (reflect(a, b), reflect(b, a)):
+                if image not in current:
+                    current.add(image)
+                    current.add(_negate(image))
+                    pending.append(image)
+    return frozenset(current)
 
 
 @dataclass(frozen=True)

@@ -222,6 +222,30 @@ def test_exit_codes(capsys, tmp_path, d4_file):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"palette":"bi","nodes":true,"edges":[]}',
+        '{"palette":"bi","nodes":2,"edges":[{"kind":"straight","i":1,"colour":"R"}]}',
+        '{"palette":"bi","nodes":2,"edges":[{"kind":"straight","i":"1","j":2,"colour":"R"}]}',
+    ],
+    ids=["bool-nodes", "missing-j", "string-endpoint"],
+)
+def test_malformed_graph_is_a_one_line_error(capsys, tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_max_n_env_error_names_the_variable(capsys, monkeypatch):
+    monkeypatch.setenv("CRYSTALLOGRAPH_MAX_N", "abc")
+    code, _, err = run(capsys, "enumerate", "--nodes", "2", "--count-only")
+    assert code == 1
+    assert err.startswith("error: ") and "CRYSTALLOGRAPH_MAX_N" in err
+
+
 def test_console_script_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "crystallograph.cli", "enumerate", "--nodes", "1", "--count-only"],

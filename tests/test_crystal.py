@@ -3,15 +3,21 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
 from crystallograph import classical, oracle
 from crystallograph.crystal import (
+    CRYSTAL_PROPAGATING,
+    QUASI_PROPAGATING,
     InconsistencyError,
+    all_bichromatic_graphs,
+    all_edge_slots,
     bipartite_normalize,
     classify_components,
     classify_projective_components,
+    closure_rules,
     enumerate_crystallographs,
     is_crystallograph,
     is_projective_crystallograph,
@@ -19,6 +25,7 @@ from crystallograph.crystal import (
     model_edges,
     rank,
     red_components,
+    slot_mask,
 )
 from crystallograph.graphs import (
     BLUE,
@@ -28,8 +35,10 @@ from crystallograph.graphs import (
     ColouredGraph,
     disjoint_union,
     empty_graph,
+    flip_colour,
     graph,
     graph_from_roots,
+    graph_to_json,
     loop,
     roots_from_graph,
     straight,
@@ -103,6 +112,59 @@ def test_is_projective_crystallograph_examples():
     assert is_projective_crystallograph(empty_graph(3, TRICHROMATIC))
     rg_loop = graph(1, [loop(1, RED)], TRICHROMATIC)
     assert not is_projective_crystallograph(rg_loop)
+
+
+def test_closure_rules_match_statement():
+    """The Horn rules, rebuilt edge by edge from the two closure rules."""
+    for n in range(7):
+        slots = all_edge_slots(n)
+        bit = {e: 1 << b for b, e in enumerate(slots)}
+        for e in slots:
+            assert slot_mask(graph(n, [e])) == bit[e]
+        for k in range(1, n + 1):
+            assert slot_mask(graph(n, [loop(k, BLUE)], TRICHROMATIC)) == bit[loop(k, RED)]
+        straights = [e for e in slots if not e.is_loop]
+        loops = [e for e in slots if e.is_loop]
+        for propagating in (CRYSTAL_PROPAGATING, QUASI_PROPAGATING):
+            expected: list[set] = [set() for _ in slots]
+
+            def implies(e, f, required):
+                later, earlier = (e, f) if bit[e] > bit[f] else (f, e)
+                expected[bit[later].bit_length() - 1].add((bit[earlier], required))
+
+            # rule 1: two straight edges sharing exactly one node force the
+            # edge closing the triangle, red if they agree in colour, green if not
+            for e, f in combinations(straights, 2):
+                shared = set(e.ends) & set(f.ends)
+                if len(shared) != 1:
+                    continue
+                (a,) = set(e.ends) - shared
+                (b,) = set(f.ends) - shared
+                closing = straight(a, b, RED if e.colour == f.colour else GREEN)
+                implies(e, f, bit[closing])
+            # rule 2: a loop next to a straight edge forces the parallel edge of
+            # the opposite colour and, if its colour propagates, the same loop
+            # at the far end
+            for lp in loops:
+                (k,) = lp.ends
+                for e in straights:
+                    if k not in e.ends:
+                        continue
+                    (far,) = set(e.ends) - {k}
+                    required = bit[straight(e.ends[0], e.ends[1], flip_colour(e.colour))]
+                    if lp.colour in propagating:
+                        required |= bit[loop(far, lp.colour)]
+                    implies(lp, e, required)
+            assert closure_rules(n, propagating) == tuple(tuple(sorted(r)) for r in expected)
+
+
+def test_enumerate_matches_predicate_filter_exhaustive_n3():
+    for n in range(4):
+        for mode, predicate in (("all", is_crystallograph), ("quasi", is_quasi_crystallograph)):
+            expected = sorted(
+                (g for g in all_bichromatic_graphs(n) if predicate(g)), key=graph_to_json
+            )
+            assert list(enumerate_crystallographs(n, mode)) == expected
 
 
 def test_palette_preconditions():

@@ -14,6 +14,7 @@ from crystallograph.crystal import (
     is_crystallograph,
 )
 from crystallograph.graphs import (
+    ColouredGraph,
     graph_from_roots,
     graph_to_json,
     roots_from_graph,
@@ -138,6 +139,29 @@ def test_bijection_sweep_small(sweep3):
     assert len(sweep3["crystallographs"]) == 144
     assert sweep3["quasi"] == 204
     assert sweep3["failures"] == []
+
+
+def test_bijection_sweep_reports_mismatches(monkeypatch):
+    # with the graph rules emptied, every mask passes the graph side, so each
+    # non-subsystem must come back as a mismatch
+    monkeypatch.setattr(oracle, "closure_rules", lambda n, propagating: ((),) * (n * n + n))
+    checked, crystallographs, quasi_count, failures = bijection_sweep(2)
+    assert checked == len(crystallographs) == quasi_count == 64
+    assert len(failures) == 64 - count_crystallographs(2)
+    assert all(line.startswith("bijection mismatch: ") for line in failures)
+
+
+def test_nested_pairs_exhaustive_matches_subgraph_scan():
+    # the mask filter yields what a scan over subgraph objects finds, in order
+    expected = []
+    for g in enumerate_crystallographs(3, "all"):
+        edge_list = g.sorted_edges()
+        for mask in range(1 << len(edge_list)):
+            gp = ColouredGraph(3, frozenset(e for b, e in enumerate(edge_list) if mask >> b & 1))
+            if is_crystallograph(gp) and not classify_components(gp).has_bipartite():
+                expected.append((g, gp))
+    assert len(expected) == 2043
+    assert list(oracle.nested_pairs_exhaustive(3)) == expected
 
 
 def test_bijection_sampled_n5_n6():

@@ -18,9 +18,12 @@ Both rules are Horn implications "slot s and slot t force these slots" over
 the n^2 + n edge slots of `all_edge_slots`.  A graph is an integer mask over
 those slots (`slot_mask`), `closure_rules` lists the implications per slot,
 and `closed` checks a mask against them.  A blue loop takes the red-loop
-slot, so the projective predicate is the quasi check.  The rules are written
-from the two statements above, never from reflections, so the sweeps in
-`oracle` still compare two independent routes.
+slot, so the projective predicate is the quasi check.  The full table has
+about 2n^3 entries, so a graph on more than `_TABLE_MAX_N` nodes is checked
+against `_GraphRules`, the implications between its own edges, built by the
+same slot arithmetic; its cost follows its edges, not n.  The rules are
+written from the two statements above, never from reflections, so the
+sweeps in `oracle` still compare two independent routes.
 
 Every graph passing these predicates decomposes into connected components
 drawn from a short list of models; `classify_components` finds the
@@ -31,9 +34,11 @@ the classification itself is broken.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
+from math import isqrt
 
 from . import linalg
 from .classical import (
@@ -84,19 +89,93 @@ class InconsistencyError(RuntimeError):
 # closure predicates
 
 
-def _straight_slot(n: int, i: int, j: int, green: bool) -> int:
-    """Slot of straight {i, j} (i < j) in the order of all_edge_slots(n)."""
+def _straight_slot(n: int, i: int, j: int, green: int) -> int:
+    """Slot of straight {i, j} in the order of all_edge_slots(n)."""
+    if i > j:
+        i, j = j, i
     return 2 * ((i - 1) * n - (i - 1) * i // 2 + j - i - 1) + green
 
 
-def _loop_slot(n: int, k: int, green: bool) -> int:
+def _loop_slot(n: int, k: int, green: int) -> int:
     return n * (n - 1) + 2 * (k - 1) + green
+
+
+def _pair_of_slot(n: int, s: int) -> tuple[int, int, int]:
+    """Inverse of _straight_slot: (i, j, green) with i < j."""
+    q, green = divmod(s, 2)
+
+    def before(r: int) -> int:  # pairs whose first node is at most r
+        return r * (2 * n - r - 1) // 2
+
+    r = (2 * n - 1 - isqrt((2 * n - 1) ** 2 - 8 * q)) // 2
+    while before(r + 1) <= q:
+        r += 1
+    while before(r) > q:
+        r -= 1
+    return r + 1, q - before(r) + r + 2, green
 
 
 CRYSTAL_PROPAGATING = frozenset((RED, GREEN))
 QUASI_PROPAGATING = frozenset((RED,))
 
 HornRules = tuple[tuple[tuple[int, int], ...], ...]
+
+
+def _implications(
+    n: int, propagating: frozenset[str], s: int, near: Mapping[int, Iterable[int]]
+):
+    """Yield (partner slot, required slots) for each implication whose later
+    premise is slot s.  Loop colours in `propagating` spread along straight
+    edges.  Only straight edges {v, b} with b in near[v] are taken as
+    partners.
+    """
+    if s >= n * (n - 1):
+        # rule 2: a loop at k next to straight {k,b} forces {k,b} in the
+        # other colour, and a propagating loop colour forces the same loop at b
+        k, green_loop = divmod(s - n * (n - 1), 2)
+        k += 1
+        spreads = (GREEN if green_loop else RED) in propagating
+        for b in near.get(k, ()):
+            if b == k:
+                continue
+            kb = _straight_slot(n, k, b, 0)
+            far = (_loop_slot(n, b, green_loop),) if spreads else ()
+            yield kb, (kb + 1, *far)
+            yield kb + 1, (kb, *far)
+        return
+    # rule 1: straight edges {v,a} and {v,b} force {a,b}, red when their
+    # colours agree and green otherwise
+    i, j, green = _pair_of_slot(n, s)
+    for v, a in ((i, j), (j, i)):
+        for b in near.get(v, ()):
+            if b == i or b == j:
+                continue
+            vb = _straight_slot(n, v, b, 0)
+            if vb < s:
+                ab = _straight_slot(n, a, b, 0)
+                yield vb, (ab + green,)
+                yield vb + 1, (ab + 1 - green,)
+
+
+def _bits(slots: Iterable[int]) -> int:
+    mask = 0
+    for t in slots:
+        mask |= 1 << t
+    return mask
+
+
+def _edge_slots(n: int, edges: Iterable[Edge]) -> set[int]:
+    """Slots of the edges over all_edge_slots(n); a blue loop takes the
+    red-loop slot."""
+    slots = set()
+    for e in edges:
+        ends = e.ends
+        green = e.colour == GREEN
+        if len(ends) == 1:
+            slots.add(_loop_slot(n, ends[0], green))
+        else:
+            slots.add(_straight_slot(n, ends[0], ends[1], green))
+    return slots
 
 
 @cache
@@ -106,43 +185,54 @@ def closure_rules(n: int, propagating: frozenset[str]) -> HornRules:
     Entry s lists pairs (partner bit, required mask): a graph holding slot
     s and the partner must hold every slot of the required mask.  Each
     implication is listed once, under the later of its two premise slots,
-    with partners in increasing order.  Loop colours in `propagating`
-    spread along straight edges; the slots follow all_edge_slots(n).
+    with partners in increasing order; the slots follow all_edge_slots(n).
+    The table has about 2n^3 entries, so it serves the small n of the
+    exhaustive scans; larger graphs are checked with `_GraphRules`.
     """
-    rules: list[list[tuple[int, int]]] = [[] for _ in range(n * n + n)]
-    nodes = range(1, n + 1)
+    every = {v: range(1, n + 1) for v in range(1, n + 1)}
+    return tuple(
+        tuple(sorted((1 << t, _bits(req)) for t, req in _implications(n, propagating, s, every)))
+        for s in range(n * n + n)
+    )
 
-    def straight_slot(a: int, b: int, green: bool) -> int:
-        return _straight_slot(n, a, b, green) if a < b else _straight_slot(n, b, a, green)
 
-    # rule 1: straight edges {v,a} and {v,b} force {a,b}, red when their
-    # colours agree and green otherwise
-    for v in nodes:
-        for a in nodes:
-            for b in range(a + 1, n + 1):
-                if v in (a, b):
-                    continue
-                for ga in (False, True):
-                    for gb in (False, True):
-                        s = straight_slot(v, a, ga)
-                        t = straight_slot(v, b, gb)
-                        need = 1 << straight_slot(a, b, ga != gb)
-                        rules[max(s, t)].append((1 << min(s, t), need))
-    # rule 2: a loop at k next to straight {k,b} forces {k,b} in the other
-    # colour, and a propagating loop colour forces the same loop at b
-    for k in nodes:
-        for green_loop, colour in ((False, RED), (True, GREEN)):
-            spreads = colour in propagating
-            for b in nodes:
-                if b == k:
-                    continue
-                for green in (False, True):
-                    need = 1 << straight_slot(k, b, not green)
-                    if spreads:
-                        need |= 1 << _loop_slot(n, b, green_loop)
-                    partner = 1 << straight_slot(k, b, green)
-                    rules[_loop_slot(n, k, green_loop)].append((partner, need))
-    return tuple(tuple(sorted(r)) for r in rules)
+class _GraphRules:
+    """The implications between one graph's own edges, as `closed` reads them.
+
+    Bit c stands for the graph's c-th edge slot in slot order, and bit
+    len(slots) for any slot the graph lacks; `mask` sets the graph's bits.
+    Entry c lists the implications whose later premise is edge c and whose
+    partner is also an edge, built when `closed` reaches it.  `closed`
+    passes over an implication whose partner is not set, so the answer is
+    that of the full table, while the bit width follows the edge count and
+    the work the edges at each node: a graph on many nodes costs what its
+    edges cost.
+    """
+
+    def __init__(self, g: ColouredGraph, propagating: frozenset[str]):
+        self.n = g.n
+        self.propagating = propagating
+        self.slots = sorted(_edge_slots(g.n, g.edges))
+        self.index = {s: c for c, s in enumerate(self.slots)}
+        self.absent = 1 << len(self.slots)
+        self.mask = self.absent - 1
+        self.neighbours: dict[int, set[int]] = {}
+        for e in g.edges:
+            if not e.is_loop:
+                i, j = e.ends
+                self.neighbours.setdefault(i, set()).add(j)
+                self.neighbours.setdefault(j, set()).add(i)
+
+    def __getitem__(self, c: int) -> list[tuple[int, int]]:
+        index = self.index
+        entries = []
+        for t, req in _implications(self.n, self.propagating, self.slots[c], self.neighbours):
+            if t in index:
+                required = 0
+                for r in req:
+                    required |= 1 << index[r] if r in index else self.absent
+                entries.append((1 << index[t], required))
+        return entries
 
 
 def slot_mask(g: ColouredGraph) -> int:
@@ -151,19 +241,10 @@ def slot_mask(g: ColouredGraph) -> int:
     A blue loop takes the red-loop slot, so a projective graph is checked
     with the rules in which red propagates.
     """
-    n = g.n
-    mask = 0
-    for e in g.edges:
-        ends = e.ends
-        green = e.colour == GREEN
-        if len(ends) == 1:
-            mask |= 1 << _loop_slot(n, ends[0], green)
-        else:
-            mask |= 1 << _straight_slot(n, ends[0], ends[1], green)
-    return mask
+    return _bits(_edge_slots(g.n, g.edges))
 
 
-def closed(mask: int, rules: HornRules) -> bool:
+def closed(mask: int, rules: HornRules | _GraphRules) -> bool:
     """Whether the slot mask satisfies every implication of `rules`."""
     missing = ~mask
     m = mask
@@ -176,18 +257,30 @@ def closed(mask: int, rules: HornRules) -> bool:
     return True
 
 
+# Graphs on at most this many nodes are checked against the cached full
+# table; larger ones against their own edges.
+_TABLE_MAX_N = 8
+
+
+def _graph_closed(g: ColouredGraph, propagating: frozenset[str]) -> bool:
+    if g.n <= _TABLE_MAX_N:
+        return closed(slot_mask(g), closure_rules(g.n, propagating))
+    rules = _GraphRules(g, propagating)
+    return closed(rules.mask, rules)
+
+
 def is_crystallograph(g: ColouredGraph) -> bool:
     """Whether the graph of a symmetric subset is closed under reflections."""
     if g.palette != BICHROMATIC:
         raise ValueError("is_crystallograph needs a bichromatic graph")
-    return closed(slot_mask(g), closure_rules(g.n, CRYSTAL_PROPAGATING))
+    return _graph_closed(g, CRYSTAL_PROPAGATING)
 
 
 def is_quasi_crystallograph(g: ColouredGraph) -> bool:
     """Crystallograph rules with green loops exempt from propagating."""
     if g.palette != BICHROMATIC:
         raise ValueError("is_quasi_crystallograph needs a bichromatic graph")
-    return closed(slot_mask(g), closure_rules(g.n, QUASI_PROPAGATING))
+    return _graph_closed(g, QUASI_PROPAGATING)
 
 
 def is_projective_crystallograph(g: ColouredGraph) -> bool:
@@ -196,7 +289,7 @@ def is_projective_crystallograph(g: ColouredGraph) -> bool:
         raise ValueError("is_projective_crystallograph needs a trichromatic graph")
     if any(e.is_loop and e.colour != BLUE for e in g.edges):
         return False
-    return closed(slot_mask(g), closure_rules(g.n, QUASI_PROPAGATING))
+    return _graph_closed(g, QUASI_PROPAGATING)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -92,13 +93,13 @@ def reflect(alpha: Root, beta: Root) -> Root:
     return tuple(int(x) for x in image)
 
 
-def _negate(alpha: Root) -> Root:
+def _negate(alpha: Sequence[int]) -> Root:
     return tuple(-c for c in alpha)
 
 
 def is_symmetric(phi: frozenset[Root] | set[Root]) -> bool:
     """True iff the set is closed under negation."""
-    return all(tuple(-c for c in alpha) in phi for alpha in phi)
+    return all(_negate(alpha) in phi for alpha in phi)
 
 
 def is_root_subsystem(phi: frozenset[Root] | set[Root]) -> bool:
@@ -278,7 +279,7 @@ def roots_d(n: int) -> RootSet:
             v = [0] * n
             v[i] = v[j] = 1
             out.add(tuple(v))
-            out.add(tuple(-c for c in v))
+            out.add(_negate(v))
     return frozenset(out)
 
 
@@ -288,7 +289,7 @@ def roots_b(n: int) -> RootSet:
         v = [0] * n
         v[i] = 1
         out.add(tuple(v))
-        out.add(tuple(-c for c in v))
+        out.add(_negate(v))
     return frozenset(out)
 
 
@@ -298,7 +299,7 @@ def roots_c(n: int) -> RootSet:
         v = [0] * n
         v[i] = 2
         out.add(tuple(v))
-        out.add(tuple(-c for c in v))
+        out.add(_negate(v))
     return frozenset(out)
 
 

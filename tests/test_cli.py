@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -244,6 +245,20 @@ def test_max_n_env_error_names_the_variable(capsys, monkeypatch):
     code, _, err = run(capsys, "enumerate", "--nodes", "2", "--count-only")
     assert code == 1
     assert err.startswith("error: ") and "CRYSTALLOGRAPH_MAX_N" in err
+
+
+def test_check_many_nodes_few_edges(capsys, tmp_path):
+    n = 100_000
+    edges = [{"kind": "straight", "i": a, "j": b, "colour": "R"}
+             for a, b in ((n - 2, n - 1), (n - 1, n), (n - 2, n))]
+    for name, items in (("empty", []), ("triangle", edges), ("open", edges[:2])):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"palette": "bi", "nodes": n, "edges": items}))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "check", str(path))
+        assert time.perf_counter() - start < 5
+        assert code == 0
+        assert json.loads(out)["crystallograph"] is (name != "open")
 
 
 def test_console_script_entry_point():

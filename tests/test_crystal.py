@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from crystallograph import classical, oracle
+from crystallograph import classical, crystal, oracle
 from crystallograph.crystal import (
     CRYSTAL_PROPAGATING,
     QUASI_PROPAGATING,
@@ -17,6 +17,7 @@ from crystallograph.crystal import (
     bipartite_normalize,
     classify_components,
     classify_projective_components,
+    closed,
     closure_rules,
     enumerate_crystallographs,
     is_crystallograph,
@@ -156,6 +157,42 @@ def test_closure_rules_match_statement():
                         required |= bit[loop(far, lp.colour)]
                     implies(lp, e, required)
             assert closure_rules(n, propagating) == tuple(tuple(sorted(r)) for r in expected)
+
+
+def test_graph_rules_match_full_table():
+    """The per-graph rules used above _TABLE_MAX_N nodes give the table's answer."""
+    rng = random.Random(11)
+    for n in (2, 3, 5, 9, 10):
+        slots = all_edge_slots(n)
+        graphs = [classical.graph_b(n), classical.graph_d(n), classical.graph_c_plus_d(2, n - 2)]
+        for _ in range(60):
+            k = rng.randrange(len(slots) + 1)
+            graphs.append(graph(n, rng.sample(slots, k)))
+        # near-misses: one edge off a crystallograph
+        for g in graphs[:3]:
+            edges = sorted(g.edges, key=str)
+            for drop in rng.sample(edges, min(5, len(edges))):
+                graphs.append(graph(n, [e for e in edges if e != drop]))
+        for propagating in (CRYSTAL_PROPAGATING, QUASI_PROPAGATING):
+            table = closure_rules(n, propagating)
+            for g in graphs:
+                rules = crystal._GraphRules(g, propagating)
+                assert closed(rules.mask, rules) == closed(slot_mask(g), table)
+
+
+def test_predicates_scale_with_edges_not_nodes():
+    n = 100_000
+    triangle = graph(n, [straight(n - 2, n - 1, RED), straight(n - 1, n, RED),
+                         straight(n - 2, n, RED)])
+    assert is_crystallograph(triangle) and is_quasi_crystallograph(triangle)
+    path = graph(n, [straight(k, k + 1, RED) for k in range(1, 3000)])
+    assert not is_crystallograph(path)
+    star = graph(n, [loop(n, GREEN), straight(1, n, RED), straight(1, n, GREEN)])
+    assert is_quasi_crystallograph(star) and not is_crystallograph(star)
+    assert is_crystallograph(graph(n, [*star.edges, loop(1, GREEN)]))
+    blue = graph(n, [loop(n, BLUE), straight(1, n, RED), straight(1, n, GREEN)], TRICHROMATIC)
+    assert not is_projective_crystallograph(blue)
+    assert is_projective_crystallograph(graph(n, [*blue.edges, loop(1, BLUE)], TRICHROMATIC))
 
 
 def test_enumerate_matches_predicate_filter_exhaustive_n3():

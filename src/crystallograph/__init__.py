@@ -71,7 +71,6 @@ from .graphs import (
 from .oracle import (
     EnumerationSummary,
     enumerate_subsystems_bruteforce,
-    nullspace,
     orbit_decomposition,
     verify_all,
 )

@@ -4,29 +4,31 @@ Passing from roots to their kernel hyperplanes forgets dilations, so the
 short and long loop at a node fuse into one blue loop.  On graphs this is
 the projectification operation; it commutes with quotients, and the
 projectified quotients realise every restricted hyperplane arrangement.
+
+The projective quotient checks its own preconditions and then runs the one
+rewrite of `quotient`, whose loops come out blue on a trichromatic graph.
+Equivalence of arrangements is the Weyl search of `rootsys` on the root
+lines of their normals.
 """
 
 from __future__ import annotations
 
 from .crystal import (
     ComponentReport,
-    InconsistencyError,
     classify_projective_components,
     is_projective_crystallograph,
 )
 from .graphs import (
     BICHROMATIC,
     BLUE,
-    GREEN,
     RED,
     TRICHROMATIC,
     ColouredGraph,
     Hyperplane,
     loop,
-    straight,
 )
-from .quotient import quotient_graph
-from .rootsys import SignedPermutation, enumeration_limit, weyl_group
+from .quotient import _check_nested, _rewrite, quotient_graph
+from .rootsys import SignedPermutation, enumeration_limit, weyl_equivalent
 
 
 def projectify(g: ColouredGraph) -> ColouredGraph:
@@ -51,45 +53,17 @@ def lift(g: ColouredGraph) -> ColouredGraph:
 def quotient_projective(g: ColouredGraph, gp: ColouredGraph) -> ColouredGraph:
     """Quotient of nested projective crystallographs.
 
-    Same algorithm as the bichromatic quotient, except every rule that made
+    Same rewrite as the bichromatic quotient, except every rule that made
     a loop (green edge inside a part, edge into a non-red component, loop in
     a part) now makes a single blue loop.
     """
-    if g.n != gp.n:
-        raise ValueError(f"node counts differ: {g.n} vs {gp.n}")
-    if not gp.edges <= g.edges:
-        raise ValueError("subgraph relation violated: gp has edges outside g")
+    _check_nested(g, gp)
     if not is_projective_crystallograph(g) or not is_projective_crystallograph(gp):
         raise ValueError("both inputs must be projective crystallographs")
     report = classify_projective_components(gp)
     if report.has_bipartite():
         raise ValueError("gp has a bipartite component; quotient needs classical form")
-    parts = [c.nodes for c in report.components if c.type == "A"]
-    part_of: dict[int, int] = {}
-    for index, part in enumerate(parts, start=1):
-        for v in part:
-            part_of[v] = index
-    edges = set()
-    for e in g.edges - gp.edges:
-        if e.is_loop:
-            p = part_of.get(e.ends[0])
-            if p is not None:
-                edges.add(loop(p, BLUE))
-            continue
-        a, b = e.ends
-        pa, pb = part_of.get(a), part_of.get(b)
-        if pa is not None and pb is not None:
-            if pa != pb:
-                edges.add(straight(pa, pb, e.colour))
-            elif e.colour == GREEN:
-                edges.add(loop(pa, BLUE))
-            else:
-                raise InconsistencyError(f"red edge {e} inside a red component of gp")
-        elif pa is not None:
-            edges.add(loop(pa, BLUE))
-        elif pb is not None:
-            edges.add(loop(pb, BLUE))
-    return ColouredGraph(len(parts), frozenset(edges), TRICHROMATIC)
+    return _rewrite(g, gp, [c.nodes for c in report.components if c.type == "A"])
 
 
 def verify_projectification_compatibility(g: ColouredGraph, gp: ColouredGraph) -> bool:
@@ -113,15 +87,20 @@ def arrangements_equivalent(
     """A signed permutation carrying one arrangement onto the other, if any.
 
     Brute-force witness search used as an extra oracle next to the
-    structural classification; default limit n <= 4.
+    structural classification; default limit n <= 4.  A signed permutation
+    carries Ker(v) to Ker(w(v)), so this is `weyl_equivalent` on the +-
+    normals, which must be root lines of B_n.
     """
     if n > enumeration_limit(limit):
         raise ValueError(f"n={n} exceeds the search limit {enumeration_limit(limit)}")
     if len(arrangement_a) != len(arrangement_b):
         return None
-    for w in weyl_group(n):
-        image = frozenset(Hyperplane.from_normal(w.apply(h.normal)) for h in arrangement_a)
-        if image == arrangement_b:
-            return w
-    return None
+    if any(len(h.normal) != n for h in arrangement_a | arrangement_b):
+        raise ValueError(f"hyperplane normals must live in Q^{n}")
+    if not arrangement_a:
+        return SignedPermutation.identity(n)
+    return weyl_equivalent(_normal_lines(arrangement_a), _normal_lines(arrangement_b), limit)
 
+
+def _normal_lines(arrangement: frozenset[Hyperplane]) -> frozenset[tuple[int, ...]]:
+    return frozenset(v for h in arrangement for v in (h.normal, tuple(-c for c in h.normal)))

@@ -11,90 +11,61 @@ The classical bichromatic graphs on a node set S:
 plus the bipartite graphs (two red cliques joined by all-green edges), the
 two quasi-crystallograph families obtained by gluing green loops onto B or D,
 and the pairs-and-points subgraphs used to realise those families as
-quotients.  Trichromatic counterparts carry blue loops instead.
+quotients.  Trichromatic counterparts carry blue loops instead.  Each model
+is drawn by `crystal.model_edges` on nodes 1..m, the same edge sets that
+the classification checks components against.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Sequence
-
-from .graphs import (
-    BLUE,
-    GREEN,
-    RED,
-    TRICHROMATIC,
-    ColouredGraph,
-    Edge,
-    loop,
-    straight,
-)
+from .crystal import Component, model_edges
+from .graphs import BICHROMATIC, RED, TRICHROMATIC, ColouredGraph, straight
 
 
-def _red_clique(nodes: Sequence[int]) -> set[Edge]:
-    return {straight(i, j, RED) for i, j in combinations(sorted(nodes), 2)}
-
-
-def _bichromatic_clique(nodes: Sequence[int]) -> set[Edge]:
-    edges = set()
-    for i, j in combinations(sorted(nodes), 2):
-        edges.add(straight(i, j, RED))
-        edges.add(straight(i, j, GREEN))
-    return edges
+def _model(m: int, tag: str, detail=(), palette=BICHROMATIC) -> ColouredGraph:
+    """The model graph of `tag` on nodes 1..m, as `crystal.model_edges` draws it."""
+    comp = Component(tuple(range(1, m + 1)), tag, (), detail)
+    return ColouredGraph(m, model_edges(comp), palette)
 
 
 def graph_a(m: int) -> ColouredGraph:
     """Complete red graph on m nodes; encodes A_{m-1}."""
-    return ColouredGraph(m, frozenset(_red_clique(range(1, m + 1))))
+    return _model(m, "A")
 
 
 def graph_d(m: int) -> ColouredGraph:
     """Simply-laced complete bichromatic graph on m nodes; encodes D_m."""
-    return ColouredGraph(m, frozenset(_bichromatic_clique(range(1, m + 1))))
+    return _model(m, "D")
 
 
 def graph_b(m: int) -> ColouredGraph:
-    edges = _bichromatic_clique(range(1, m + 1))
-    edges |= {loop(k, RED) for k in range(1, m + 1)}
-    return ColouredGraph(m, frozenset(edges))
+    return _model(m, "B")
 
 
 def graph_c(m: int) -> ColouredGraph:
-    edges = _bichromatic_clique(range(1, m + 1))
-    edges |= {loop(k, GREEN) for k in range(1, m + 1)}
-    return ColouredGraph(m, frozenset(edges))
+    return _model(m, "C")
 
 
 def graph_bc(m: int) -> ColouredGraph:
-    edges = _bichromatic_clique(range(1, m + 1))
-    edges |= {loop(k, RED) for k in range(1, m + 1)}
-    edges |= {loop(k, GREEN) for k in range(1, m + 1)}
-    return ColouredGraph(m, frozenset(edges))
+    return _model(m, "BC")
 
 
 def graph_bipartite(d1: int, d2: int) -> ColouredGraph:
     """Two red cliques of sizes d1, d2 joined by all green edges (d1, d2 >= 1)."""
     if d1 < 1 or d2 < 1:
         raise ValueError("both parts of a bipartite graph must be nonempty")
-    part1 = range(1, d1 + 1)
-    part2 = range(d1 + 1, d1 + d2 + 1)
-    edges = _red_clique(part1) | _red_clique(part2)
-    edges |= {straight(i, j, GREEN) for i in part1 for j in part2}
-    return ColouredGraph(d1 + d2, frozenset(edges))
+    parts = (tuple(range(1, d1 + 1)), tuple(range(d1 + 1, d1 + d2 + 1)))
+    return _model(d1 + d2, "Bipartite", parts)
 
 
 def graph_b_plus_c(r: int, s: int) -> ColouredGraph:
     """Type-B graph on r+s nodes with green loops glued at the first r nodes."""
-    edges = set(graph_b(r + s).edges)
-    edges |= {loop(k, GREEN) for k in range(1, r + 1)}
-    return ColouredGraph(r + s, frozenset(edges))
+    return _model(r + s, "BplusC", (tuple(range(1, r + 1)),))
 
 
 def graph_c_plus_d(r: int, s: int) -> ColouredGraph:
     """Type-D graph on r+s nodes with green loops glued at the first r nodes."""
-    edges = set(graph_d(r + s).edges)
-    edges |= {loop(k, GREEN) for k in range(1, r + 1)}
-    return ColouredGraph(r + s, frozenset(edges))
+    return _model(r + s, "CplusD", (tuple(range(1, r + 1)),))
 
 
 def graph_pairs_and_points(r: int, s: int) -> ColouredGraph:
@@ -109,13 +80,9 @@ def graph_pairs_and_points(r: int, s: int) -> ColouredGraph:
 
 def projective_graph_borc(m: int) -> ColouredGraph:
     """Simply-laced complete bichromatic plus a blue loop at every node."""
-    edges = _bichromatic_clique(range(1, m + 1))
-    edges |= {loop(k, BLUE) for k in range(1, m + 1)}
-    return ColouredGraph(m, frozenset(edges), TRICHROMATIC)
+    return _model(m, "BorC", palette=TRICHROMATIC)
 
 
 def projective_graph_exotic_bd(r: int, s: int) -> ColouredGraph:
     """Simply-laced complete bichromatic on r+s nodes, blue loops at the first r."""
-    edges = _bichromatic_clique(range(1, r + s + 1))
-    edges |= {loop(k, BLUE) for k in range(1, r + 1)}
-    return ColouredGraph(r + s, frozenset(edges), TRICHROMATIC)
+    return _model(r + s, "ExoticBD", (tuple(range(1, r + 1)),), TRICHROMATIC)

@@ -116,15 +116,7 @@ def _cmd_to_roots(args) -> int:
 
 
 def _cmd_from_roots(args) -> int:
-    text = _read_file(args.file)
-    try:
-        phi = parse_roots_text(text)
-        if not phi and args.nodes is None:
-            raise ValueError("empty root file; pass --nodes to fix the dimension")
-        g = ColouredGraph(args.nodes, frozenset()) if not phi else graph_from_roots(phi, args.nodes)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    print(graph_to_json(g))
+    print(graph_to_json(_load_graph(args.file, roots_mode=True, nodes=args.nodes)))
     return 0
 
 

@@ -41,13 +41,6 @@ from itertools import combinations
 from math import isqrt
 
 from . import linalg
-from .classical import (
-    graph_a,
-    graph_b,
-    graph_bc,
-    graph_c,
-    graph_d,
-)
 from .graphs import (
     BICHROMATIC,
     BLUE,
@@ -61,6 +54,7 @@ from .graphs import (
     empty_graph,
     graph_from_roots,
     graph_to_json,
+    linked_parts,
     loop,
     roots_from_graph,
     straight,
@@ -336,7 +330,7 @@ class ComponentReport:
         return json.dumps(self.to_json_obj(), separators=(",", ":"))
 
 
-def model_edges(comp: Component, palette: str = BICHROMATIC) -> frozenset[Edge]:
+def model_edges(comp: Component) -> frozenset[Edge]:
     """The exact edge set of a component's model graph on its own node labels."""
     nodes = comp.nodes
     pairs = list(combinations(nodes, 2))
@@ -382,24 +376,11 @@ def _component_edges(g: ColouredGraph, nodes: tuple[int, ...]) -> frozenset[Edge
 
 def _bipartite_parts(g: ColouredGraph, nodes: tuple[int, ...]) -> list[tuple[int, ...]] | None:
     """Red-connectivity parts of a loopless component, or None if not two parts."""
-    parent = {v: v for v in nodes}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     node_set = set(nodes)
-    for e in g.edges:
-        if not e.is_loop and e.colour == RED and set(e.ends) <= node_set:
-            parent[find(e.ends[0])] = find(e.ends[1])
-    buckets: dict[int, list[int]] = {}
-    for v in nodes:
-        buckets.setdefault(find(v), []).append(v)
-    if len(buckets) != 2:
+    red = (e.ends for e in g.edges if not e.is_loop and e.colour == RED and set(e.ends) <= node_set)
+    parts = linked_parts(nodes, red)
+    if len(parts) != 2:
         return None
-    parts = [tuple(sorted(p)) for p in buckets.values()]
     parts.sort(key=lambda p: (len(p), p[0]))
     return parts
 
@@ -470,7 +451,7 @@ def _match_component(
                 nodes, "ExoticBD", (r, m - r), (tuple(sorted(blue_loops)),)
             )
 
-    if candidate is not None and model_edges(candidate, loop_palette) == actual:
+    if candidate is not None and model_edges(candidate) == actual:
         return candidate
     raise InconsistencyError(
         f"component {nodes} matches no model graph (classification falsified?)"
@@ -593,15 +574,15 @@ def all_bichromatic_graphs(n: int):
 
 
 def _classical_component_menu(m: int) -> list[tuple[str, ColouredGraph]]:
-    """Classical connected models on m nodes, keyed for deterministic order."""
-    menu = [("A", graph_a(m)), ("B", graph_b(m)), ("BC", graph_bc(m)), ("C", graph_c(m))]
-    if m >= 2:
-        menu.append(("D", graph_d(m)))
-    return sorted(menu)
+    """Classical connected models on m nodes, in tag order."""
+    nodes = tuple(range(1, m + 1))
+    tags = ("A", "B", "BC", "C", "D") if m >= 2 else ("A", "B", "BC", "C")
+    return [(tag, ColouredGraph(m, model_edges(Component(nodes, tag, (m,))))) for tag in tags]
 
 
-def _orbit_canonical(g: ColouredGraph) -> tuple[str, ColouredGraph]:
-    """Lexicographically minimal serialisation over the Weyl orbit, with graph."""
+def orbit_canonical(g: ColouredGraph) -> tuple[str, ColouredGraph]:
+    """Lexicographically minimal serialisation over the W(BC_n) orbit, with
+    the graph it serialises."""
     best: tuple[str, ColouredGraph] | None = None
     for w in weyl_group(g.n):
         image = weyl_act_graph(w, g)
@@ -625,7 +606,7 @@ def _weyl_orbit_representatives(n: int) -> list[ColouredGraph]:
 
     def build(sizes_left: int, min_key: tuple, assembled: ColouredGraph) -> None:
         if sizes_left == 0:
-            results.append(_orbit_canonical(assembled))
+            results.append(orbit_canonical(assembled))
             return
         for m in range(1, sizes_left + 1):
             for key, model in _classical_component_menu(m):

@@ -21,6 +21,7 @@ set).  The canonical JSON form and the DOT export are byte-deterministic.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from math import gcd
 
@@ -145,8 +146,6 @@ def graph_from_roots(phi, n: int | None = None) -> ColouredGraph:
         if not phi:
             raise ValueError("cannot infer the node count of an empty root set")
         n = len(next(iter(phi)))
-    if not is_symmetric(phi):
-        raise ValueError("graph_from_roots needs a symmetric root set")
     edges: set[Edge] = set()
     for alpha in phi:
         if len(alpha) != n:
@@ -160,6 +159,9 @@ def graph_from_roots(phi, n: int | None = None) -> ColouredGraph:
         else:
             (i, ci), (j, cj) = support
             edges.add(straight(i, j, RED if ci * cj < 0 else GREEN))
+    # after the shape checks, so a lone malformed root is named as such
+    if not is_symmetric(phi):
+        raise ValueError("graph_from_roots needs a symmetric root set")
     return ColouredGraph(n, frozenset(edges))
 
 
@@ -246,9 +248,13 @@ def disjoint_union(g1: ColouredGraph, g2: ColouredGraph) -> ColouredGraph:
     return ColouredGraph(g1.n + g2.n, g1.edges | frozenset(shifted), g1.palette)
 
 
-def connected_components(g: ColouredGraph) -> list[tuple[int, ...]]:
-    """Partition of 1..n by edge connectivity (colours ignored), sorted by least node."""
-    parent = list(range(g.n + 1))
+def linked_parts(nodes: Sequence[int], links: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Partition of `nodes` joined by the (i, j) pairs in `links`, by union-find.
+
+    Parts are sorted tuples, ordered by least node; every pair must lie in
+    `nodes`.
+    """
+    parent = dict(zip(nodes, nodes))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -256,14 +262,17 @@ def connected_components(g: ColouredGraph) -> list[tuple[int, ...]]:
             x = parent[x]
         return x
 
-    for e in g.edges:
-        if not e.is_loop:
-            i, j = e.ends
-            parent[find(i)] = find(j)
+    for i, j in links:
+        parent[find(i)] = find(j)
     buckets: dict[int, list[int]] = {}
-    for v in range(1, g.n + 1):
+    for v in nodes:
         buckets.setdefault(find(v), []).append(v)
     return sorted((tuple(sorted(part)) for part in buckets.values()), key=lambda p: p[0])
+
+
+def connected_components(g: ColouredGraph) -> list[tuple[int, ...]]:
+    """Partition of 1..n by edge connectivity (colours ignored), sorted by least node."""
+    return linked_parts(range(1, g.n + 1), [e.ends for e in g.edges if len(e.ends) == 2])
 
 
 def weyl_act_graph(w: SignedPermutation, g: ColouredGraph) -> ColouredGraph:

@@ -38,10 +38,10 @@ from .crystal import (
     is_crystallograph,
     is_quasi_crystallograph,
     model_edges,
+    orbit_canonical,
 )
 from .graphs import (
     ColouredGraph,
-    graph_from_json,
     graph_from_roots,
     graph_to_json,
     roots_from_graph,
@@ -176,7 +176,7 @@ def line_tables(n: int) -> LineTables:
 
 
 # ---------------------------------------------------------------------------
-# brute-force enumeration and nullspaces
+# brute-force enumeration
 
 
 def enumerate_subsystems_bruteforce(n: int):
@@ -197,28 +197,8 @@ def enumerate_subsystems_bruteforce(n: int):
     yield from found
 
 
-def nullspace(rows, n: int | None = None) -> list[tuple[Fraction, ...]]:
-    """Basis of the exact common nullspace; the standard basis for no rows."""
-    rows = [tuple(Fraction(x) for x in row) for row in rows]
-    if rows:
-        n = len(rows[0])
-    elif n is None:
-        raise ValueError("pass the ambient dimension to take the nullspace of no rows")
-    return linalg.nullspace_basis(rows, n)
-
-
-def nullspace_of_roots(phi, n: int) -> list[tuple[Fraction, ...]]:
-    """Nullspace of a root set in Q^n; the standard basis when phi is empty."""
-    return linalg.nullspace_basis(sorted(phi), n)
-
-
 # ---------------------------------------------------------------------------
 # Weyl orbits
-
-
-def graph_orbit_canonical_json(g: ColouredGraph) -> str:
-    """Lexicographically minimal serialisation over the W(BC_n) orbit."""
-    return min(graph_to_json(weyl_act_graph(w, g)) for w in weyl_group(g.n))
 
 
 def orbit_decomposition(items, n: int, limit: int = 6):
@@ -229,12 +209,13 @@ def orbit_decomposition(items, n: int, limit: int = 6):
     """
     if n > enumeration_limit(limit):
         raise ValueError(f"n={n} exceeds the orbit limit {enumeration_limit(limit)}")
-    buckets: dict[str, list[ColouredGraph]] = {}
+    buckets: dict[str, list] = {}
     for g in items:
         if g.n != n:
             raise ValueError(f"graph on {g.n} nodes in an n={n} decomposition")
-        buckets.setdefault(graph_orbit_canonical_json(g), []).append(g)
-    return [(graph_from_json(key), len(buckets[key])) for key in sorted(buckets)]
+        key, representative = orbit_canonical(g)
+        buckets.setdefault(key, [representative, 0])[1] += 1
+    return [tuple(buckets[key]) for key in sorted(buckets)]
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +439,7 @@ def kernel_failures(graphs) -> list[str]:
         if classify_components(g).has_bipartite():
             continue
         basis = kernel_basis(g)
-        generic = nullspace_of_roots(roots_from_graph(g), g.n)
+        generic = linalg.nullspace_basis(sorted(roots_from_graph(g)), g.n)
         if not linalg.span_equal(basis.vectors, generic):
             failures.append(f"kernel span mismatch: {graph_to_json(g)}")
             continue

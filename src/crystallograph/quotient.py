@@ -7,6 +7,10 @@ collapses each red component of the subgraph to a single node and rewrites
 the leftover edges by four local rules; the restricted system evaluates the
 leftover roots on the vectors e_{I_j} instead, giving an independent
 linear-algebra route to the same answer.
+
+The rewrite is one loop, `_rewrite`, shared with the projective quotient of
+`arrange`: its loops are painted by the rules on a bichromatic graph and
+blue on a trichromatic one.
 """
 
 from __future__ import annotations
@@ -17,8 +21,10 @@ from fractions import Fraction
 
 from .crystal import InconsistencyError, classify_components, is_crystallograph
 from .graphs import (
+    BLUE,
     GREEN,
     RED,
+    TRICHROMATIC,
     ColouredGraph,
     loop,
     roots_from_graph,
@@ -112,15 +118,52 @@ def orthogonal_projection(g: ColouredGraph) -> RationalMatrix:
     return tuple(tuple(row) for row in matrix)
 
 
-def _nested_parts(g: ColouredGraph, gp: ColouredGraph):
+def _check_nested(g: ColouredGraph, gp: ColouredGraph) -> None:
     if g.n != gp.n:
         raise ValueError(f"node counts differ: {g.n} vs {gp.n}")
     if not gp.edges <= g.edges:
         raise ValueError("subgraph relation violated: gp has edges outside g")
+
+
+def _nested_parts(g: ColouredGraph, gp: ColouredGraph):
+    _check_nested(g, gp)
     if not is_crystallograph(g):
         raise ValueError("the ambient graph is not a crystallograph")
     parts, bichromatic_nodes = _classical_red_parts(gp)
     return parts, bichromatic_nodes
+
+
+def _rewrite(g: ColouredGraph, gp: ColouredGraph, parts) -> ColouredGraph:
+    """The quotient graph of g by gp on the given red parts of gp.
+
+    The rules are those of `quotient_graph`; on a trichromatic g every loop
+    they make is blue, and the quotient is trichromatic too.
+    """
+    blue = g.palette == TRICHROMATIC
+    part_of: dict[int, int] = {}
+    for index, part in enumerate(parts, start=1):
+        for v in part:
+            part_of[v] = index
+    edges = set()
+    for e in g.edges - gp.edges:
+        if e.is_loop:
+            p = part_of.get(e.ends[0])
+            if p is not None:
+                edges.add(loop(p, BLUE if blue else e.colour))
+            continue
+        a, b = e.ends
+        pa, pb = part_of.get(a), part_of.get(b)
+        if pa is not None and pb is not None:
+            if pa != pb:
+                edges.add(straight(pa, pb, e.colour))
+            elif e.colour == GREEN:
+                edges.add(loop(pa, BLUE if blue else GREEN))
+            else:
+                # a red edge inside a part would already belong to gp's clique
+                raise InconsistencyError(f"red edge {e} inside a red component of gp")
+        elif pa is not None or pb is not None:
+            edges.add(loop(pb if pa is None else pa, BLUE if blue else RED))
+    return ColouredGraph(len(parts), frozenset(edges), g.palette)
 
 
 def quotient_graph(g: ColouredGraph, gp: ColouredGraph) -> ColouredGraph:
@@ -139,32 +182,7 @@ def quotient_graph(g: ColouredGraph, gp: ColouredGraph) -> ColouredGraph:
     dropped.  The edge set is deduplicated.
     """
     parts, _ = _nested_parts(g, gp)
-    part_of: dict[int, int] = {}
-    for index, part in enumerate(parts, start=1):
-        for v in part:
-            part_of[v] = index
-    edges = set()
-    for e in g.edges - gp.edges:
-        if e.is_loop:
-            p = part_of.get(e.ends[0])
-            if p is not None:
-                edges.add(loop(p, e.colour))
-            continue
-        a, b = e.ends
-        pa, pb = part_of.get(a), part_of.get(b)
-        if pa is not None and pb is not None:
-            if pa != pb:
-                edges.add(straight(pa, pb, e.colour))
-            elif e.colour == GREEN:
-                edges.add(loop(pa, GREEN))
-            else:
-                # a red edge inside a part would already belong to gp's clique
-                raise InconsistencyError(f"red edge {e} inside a red component of gp")
-        elif pa is not None:
-            edges.add(loop(pa, RED))
-        elif pb is not None:
-            edges.add(loop(pb, RED))
-    return ColouredGraph(len(parts), frozenset(edges))
+    return _rewrite(g, gp, parts)
 
 
 def restricted_system(g: ColouredGraph, gp: ColouredGraph) -> RestrictedSystem:

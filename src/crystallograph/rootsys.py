@@ -26,7 +26,6 @@ import itertools
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 
 Root = tuple[int, ...]
 RootSet = frozenset[Root]
@@ -78,19 +77,24 @@ def validate_root_set(phi: frozenset[Root] | set[Root]) -> None:
 def reflect(alpha: Root, beta: Root) -> Root:
     """Image of beta under the reflection in the hyperplane orthogonal to alpha.
 
-    Computed as beta - 2(beta|alpha)/(alpha|alpha) * alpha in exact
-    arithmetic.  For alpha, beta in BC_n the result is again a BC_n root.
+    Computed as beta - 2(beta|alpha)/(alpha|alpha) * alpha in integer
+    arithmetic, each coordinate as (b |alpha|^2 - 2(beta|alpha) a) / |alpha|^2;
+    an image off the integer lattice raises.  For alpha, beta in BC_n the
+    result is again a BC_n root.
     """
     if len(alpha) != len(beta):
         raise ValueError(f"dimension mismatch: {len(alpha)} vs {len(beta)}")
     norm = dot(alpha, alpha)
     if norm == 0:
         raise ValueError("cannot reflect in the zero vector")
-    coeff = Fraction(2 * dot(beta, alpha), norm)
-    image = tuple(b - coeff * a for a, b in zip(alpha, beta))
-    if any(x.denominator != 1 for x in image):
-        raise ValueError(f"reflection left the integer lattice: {alpha} on {beta}")
-    return tuple(int(x) for x in image)
+    twice = 2 * dot(beta, alpha)
+    image = []
+    for a, b in zip(alpha, beta):
+        x, rem = divmod(b * norm - twice * a, norm)
+        if rem:
+            raise ValueError(f"reflection left the integer lattice: {alpha} on {beta}")
+        image.append(x)
+    return tuple(image)
 
 
 def _negate(alpha: Sequence[int]) -> Root:

@@ -25,6 +25,7 @@ from crystallograph.graphs import (
     RED,
     TRICHROMATIC,
     ColouredGraph,
+    Hyperplane,
     arrangement_from_graph,
     empty_graph,
     graph,
@@ -190,7 +191,31 @@ def test_arrangements_equivalent_witness_search():
     assert arrangements_equivalent(bip, a3, 3) is not None
 
 
+def test_arrangements_equivalent_witnesses_carry_exhaustive_n2():
+    lines = sorted(arrangement_from_graph(projectify(classical.graph_bc(2))))
+    subsets = [
+        frozenset(h for b, h in enumerate(lines) if mask >> b & 1) for mask in range(1 << len(lines))
+    ]
+    found = 0
+    for a in subsets:
+        for b in subsets:
+            w = arrangements_equivalent(a, b, 2)
+            if w is not None:
+                found += 1
+                assert frozenset(Hyperplane.from_normal(w.apply(h.normal)) for h in a) == b
+    # W(B_2) orbits on subsets of its four hyperplanes, by subset size:
+    # 1 | 2, 2 | 1, 1, 4 | 2, 2 | 1; equivalent pairs are the sum of squares
+    assert found == sum(k * k for k in (1, 2, 2, 1, 1, 4, 2, 2, 1))
+
+
 def test_arrangements_equivalent_limit():
     arr = arrangement_from_graph(projectify(classical.graph_a(5)))
     with pytest.raises(ValueError):
         arrangements_equivalent(arr, arr, 5)
+    # normals outside Q^n or outside B_n are errors, not a search
+    a3 = arrangement_from_graph(projectify(classical.graph_a(3)))
+    with pytest.raises(ValueError):
+        arrangements_equivalent(a3, a3, 2)
+    odd = frozenset({Hyperplane.from_normal((1, 2))})
+    with pytest.raises(ValueError):
+        arrangements_equivalent(odd, odd, 2)

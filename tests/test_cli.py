@@ -116,6 +116,22 @@ def test_roots_input_mode(capsys, tmp_path):
     assert code == 0
 
 
+def test_from_roots_names_a_malformed_root(capsys, tmp_path):
+    rootsfile = tmp_path / "roots.txt"
+    rootsfile.write_text("1 2 3\n")
+    code, out, err = run(capsys, "from-roots", str(rootsfile))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.rstrip().endswith("not a BC root: (1, 2, 3)")
+
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    code, _, err = run(capsys, "from-roots", str(empty))
+    assert code == 1 and "--nodes" in err
+    code, out, _ = run(capsys, "from-roots", str(empty), "--nodes", "2")
+    assert code == 0 and graph_from_json(out.strip()) == graph(2, [])
+
+
 def test_kernel_output(capsys, a1_file):
     code, out, _ = run(capsys, "kernel", a1_file)
     assert code == 0

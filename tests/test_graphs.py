@@ -92,9 +92,26 @@ def test_graph_from_roots_examples():
     assert g == graph(2, [straight(1, 2, GREEN)])
 
 
+def test_classical_models_match_root_systems():
+    from crystallograph.rootsys import roots_a, roots_b, roots_bc, roots_c, roots_d
+
+    pairs = [
+        (roots_a, classical.graph_a),
+        (roots_d, classical.graph_d),
+        (roots_b, classical.graph_b),
+        (roots_c, classical.graph_c),
+        (roots_bc, classical.graph_bc),
+    ]
+    for roots, model in pairs:
+        for m in range(1, 6):
+            assert graph_from_roots(roots(m), m) == model(m), (model.__name__, m)
+
+
 def test_graph_from_roots_rejects_bad_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="symmetric"):
         graph_from_roots({(1, -1)}, 2)  # not symmetric
+    with pytest.raises(ValueError, match=r"not a BC root: \(1, 2, 3\)"):
+        graph_from_roots({(1, 2, 3)}, 3)  # shape is checked before symmetry
     with pytest.raises(ValueError):
         graph_from_roots({(1, 1, 1), (-1, -1, -1)}, 3)  # not a BC root
     with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from crystallograph.linalg import mat_mul, nullspace_basis, rank, rref, span_equal
+from crystallograph.rootsys import roots_a, roots_b
 
 
 def test_rref_identity_like():
@@ -40,6 +41,10 @@ def test_nullspace_basis():
         (Fraction(1), Fraction(0)),
         (Fraction(0), Fraction(1)),
     ]
+    # root sets: A_2 leaves the diagonal, B_2 spans the plane
+    (v,) = nullspace_basis(sorted(roots_a(3)), 3)
+    assert v[0] == v[1] == v[2] != 0
+    assert nullspace_basis(sorted(roots_b(2)), 2) == []
     # basis vectors actually annihilate the rows
     rows = [[1, 2, 3, 4], [0, 1, 1, 0]]
     for v in nullspace_basis(rows, 4):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -27,8 +26,6 @@ from crystallograph.oracle import (
     count_weyl_orbits,
     enumerate_subsystems_bruteforce,
     line_tables,
-    nullspace,
-    nullspace_of_roots,
     orbit_decomposition,
     random_crystallograph,
     random_nested_pair,
@@ -38,7 +35,6 @@ from crystallograph.oracle import (
 from crystallograph.rootsys import (
     is_root_subsystem,
     reflection_closure,
-    roots_a,
     roots_bc,
 )
 
@@ -84,27 +80,6 @@ def test_enumerate_subsystems_bruteforce_counts():
 def test_bruteforce_limit():
     with pytest.raises(ValueError):
         next(enumerate_subsystems_bruteforce(5))
-
-
-def test_nullspace_examples():
-    basis = nullspace(sorted(roots_a(3)))
-    assert len(basis) == 1
-    (v,) = basis
-    assert v[0] == v[1] == v[2] != 0
-
-    assert nullspace([], 2) == [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
-    with pytest.raises(ValueError):
-        nullspace([])
-
-    assert nullspace_of_roots(frozenset(), 3) == [
-        (Fraction(1), Fraction(0), Fraction(0)),
-        (Fraction(0), Fraction(1), Fraction(0)),
-        (Fraction(0), Fraction(0), Fraction(1)),
-    ]
-
-    from crystallograph.rootsys import roots_b
-
-    assert nullspace_of_roots(roots_b(2), 2) == []
 
 
 def test_orbit_decomposition_examples():

@@ -63,6 +63,16 @@ def test_reflect_closure_of_ambient_and_involution():
             assert reflect(alpha, image) == beta
 
 
+def test_reflect_integer_lattice():
+    # off the lattice: e_1 - 2/3 (e_1 + e_2 + e_3)
+    with pytest.raises(ValueError, match="integer lattice"):
+        reflect((1, 1, 1), (1, 0, 0))
+    # on the lattice though (2, 2) is no BC root
+    assert reflect((2, 2), (1, 0)) == (0, -1)
+    with pytest.raises(ValueError):
+        reflect((0, 0), (1, 0))
+
+
 def test_reflect_dimension_mismatch():
     with pytest.raises(ValueError):
         reflect((1, -1), (1, -1, 0))

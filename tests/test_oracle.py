@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from crystallograph import classical, oracle
+from crystallograph.linalg import nullspace_basis
 from crystallograph.crystal import (
     classify_components,
     enumerate_crystallographs,
@@ -25,6 +27,7 @@ from crystallograph.oracle import (
     count_quasi_crystallographs,
     count_weyl_orbits,
     enumerate_subsystems_bruteforce,
+    kernel_failures,
     line_tables,
     orbit_decomposition,
     random_crystallograph,
@@ -35,6 +38,8 @@ from crystallograph.oracle import (
 from crystallograph.rootsys import (
     is_root_subsystem,
     reflection_closure,
+    roots_a,
+    roots_b,
     roots_bc,
 )
 
@@ -80,6 +85,22 @@ def test_enumerate_subsystems_bruteforce_counts():
 def test_bruteforce_limit():
     with pytest.raises(ValueError):
         next(enumerate_subsystems_bruteforce(5))
+
+
+def test_nullspace_examples():
+    # the generic nullspace that kernel_failures checks kernel_basis against
+    (v,) = nullspace_basis(sorted(roots_a(3)), 3)
+    assert v[0] == v[1] == v[2] != 0
+    assert nullspace_basis(sorted(frozenset()), 3) == [
+        (Fraction(1), Fraction(0), Fraction(0)),
+        (Fraction(0), Fraction(1), Fraction(0)),
+        (Fraction(0), Fraction(0), Fraction(1)),
+    ]
+    assert nullspace_basis(sorted(roots_b(2)), 2) == []
+    assert graph_from_roots(roots_a(3), 3) == classical.graph_a(3)
+    assert kernel_failures(
+        [classical.graph_a(3), classical.graph_b(2), ColouredGraph(3, [])]
+    ) == []
 
 
 def test_orbit_decomposition_examples():

@@ -18,8 +18,8 @@ import json
 import random
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
+from operator import mul
 
 from . import linalg
 from .arrange import verify_projectification_compatibility
@@ -448,13 +448,15 @@ def kernel_failures(graphs) -> list[str]:
             failures.append(f"projection not idempotent: {graph_to_json(g)}")
         if any(proj[i][j] != proj[j][i] for i in range(g.n) for j in range(g.n)):
             failures.append(f"projection not symmetric: {graph_to_json(g)}")
+        # proj = P / D and vec = v / d, so proj.vec == vec iff P.v == D.v
+        P, D = linalg.clear_denominators(proj)
         for vec in basis.vectors:
-            image = tuple(sum(row[j] * vec[j] for j in range(g.n)) for row in proj)
-            if image != vec:
+            (v,), _ = linalg.clear_denominators([vec])
+            if any(sum(map(mul, row, v)) != D * x for row, x in zip(P, v)):
                 failures.append(f"projection moves a kernel vector: {graph_to_json(g)}")
+        columns = list(zip(*P))
         for alpha in roots_from_graph(g):
-            row = tuple(sum(Fraction(alpha[i]) * proj[i][j] for i in range(g.n)) for j in range(g.n))
-            if any(row):
+            if any(sum(map(mul, alpha, col)) for col in columns):
                 failures.append(f"projection image not annihilated by {alpha}: {graph_to_json(g)}")
                 break
     return failures

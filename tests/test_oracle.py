@@ -9,6 +9,7 @@ import pytest
 
 from crystallograph import classical, oracle
 from crystallograph.linalg import nullspace_basis
+from crystallograph.quotient import KernelBasis
 from crystallograph.crystal import (
     classify_components,
     enumerate_crystallographs,
@@ -101,6 +102,46 @@ def test_nullspace_examples():
     assert kernel_failures(
         [classical.graph_a(3), classical.graph_b(2), ColouredGraph(3, [])]
     ) == []
+
+
+def _third(*rows):
+    return tuple(tuple(Fraction(x, 3) for x in row) for row in rows)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["wrong span", "not idempotent", "not symmetric", "moves e_I/|I|", "root not annihilated"],
+)
+def test_kernel_failures_reports_each_fault(monkeypatch, case):
+    # A_2 on 3 nodes: one red part {1,2,3}, kernel vector (1,1,1)/3, projection J/3
+    g = classical.graph_a(3)
+    label = graph_to_json(g)
+    first_root = next(iter(roots_from_graph(g)))
+    faults = {
+        # spans the wrong line
+        "wrong span": (None, [f"kernel span mismatch: {label}"]),
+        # 2J/3 is symmetric and kills every root, but squares to 4J/3 and doubles e_I/|I|
+        "not idempotent": (
+            _third((2, 2, 2), (2, 2, 2), (2, 2, 2)),
+            [f"projection not idempotent: {label}", f"projection moves a kernel vector: {label}"],
+        ),
+        # the oblique projection onto (1,1,1) along x_1 = 0
+        "not symmetric": (_third((3, 0, 0), (3, 0, 0), (3, 0, 0)), [f"projection not symmetric: {label}"]),
+        "moves e_I/|I|": (_third((0, 0, 0), (0, 0, 0), (0, 0, 0)), [f"projection moves a kernel vector: {label}"]),
+        "root not annihilated": (
+            _third((3, 0, 0), (0, 3, 0), (0, 0, 3)),
+            [f"projection image not annihilated by {first_root}: {label}"],
+        ),
+    }
+    proj, expected = faults[case]
+    if proj is None:
+        wrong = KernelBasis(((1, 2, 3),), ((Fraction(1), Fraction(0), Fraction(0)),))
+        monkeypatch.setattr(oracle, "kernel_basis", lambda graph: wrong)
+    else:
+        monkeypatch.setattr(oracle, "orthogonal_projection", lambda graph: proj)
+    assert kernel_failures([g]) == expected
+    monkeypatch.undo()
+    assert kernel_failures([g]) == []
 
 
 def test_orbit_decomposition_examples():

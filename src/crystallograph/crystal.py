@@ -26,9 +26,16 @@ written from the two statements above, never from reflections, so the
 sweeps in `oracle` still compare two independent routes.
 
 Every graph passing these predicates decomposes into connected components
-drawn from a short list of models; `classify_components` finds the
-decomposition and raises if a component matches nothing, which would mean
-the classification itself is broken.
+drawn from a short list of models, written once in `_LOOP_MODELS`.  Apart
+from A (a red clique) and Bipartite (red parts, green across), every model
+has both straight colours on every pair and is named by its loops: the
+colours looping at every node and the one colour, if any, looping at
+exactly the `detail` nodes.  `model_edges` draws a model from the table;
+`classify_components` and `classify_projective_components` split the graph
+into components, look each component's loop pattern up in the same table
+inverted (a loopless one is A, D or Bipartite by its red parts), and raise
+unless the component equals the model drawn, which would mean the
+classification itself is broken.
 """
 
 from __future__ import annotations
@@ -330,128 +337,97 @@ class ComponentReport:
         return json.dumps(self.to_json_obj(), separators=(",", ":"))
 
 
+# tag -> (loop colours at every node, loop colour at exactly the detail nodes);
+# A and Bipartite are written out in `model_edges`.
+_LOOP_MODELS: dict[str, tuple[frozenset[str], str | None]] = {
+    "D": (frozenset(), None),
+    "B": (frozenset((RED,)), None),
+    "C": (frozenset((GREEN,)), None),
+    "BC": (frozenset((RED, GREEN)), None),
+    "BplusC": (frozenset((RED,)), GREEN),
+    "CplusD": (frozenset(), GREEN),
+    "BorC": (frozenset((BLUE,)), None),
+    "ExoticBD": (frozenset(), BLUE),
+}
+_TAG_OF_LOOPS = {loops: tag for tag, loops in _LOOP_MODELS.items()}
+
+
 def model_edges(comp: Component) -> frozenset[Edge]:
     """The exact edge set of a component's model graph on its own node labels."""
     nodes = comp.nodes
-    pairs = list(combinations(nodes, 2))
-    red_clique = {straight(i, j, RED) for i, j in pairs}
-    both = red_clique | {straight(i, j, GREEN) for i, j in pairs}
     tag = comp.type
     if tag == "A":
-        return frozenset(red_clique)
-    if tag == "D":
-        return frozenset(both)
-    if tag == "B":
-        return frozenset(both | {loop(k, RED) for k in nodes})
-    if tag == "C":
-        return frozenset(both | {loop(k, GREEN) for k in nodes})
-    if tag == "BC":
-        return frozenset(both | {loop(k, RED) for k in nodes} | {loop(k, GREEN) for k in nodes})
+        return frozenset(straight(i, j, RED) for i, j in combinations(nodes, 2))
     if tag == "Bipartite":
         part1, part2 = comp.detail
-        edges = {straight(i, j, RED) for i, j in combinations(part1, 2)}
-        edges |= {straight(i, j, RED) for i, j in combinations(part2, 2)}
+        edges = {straight(i, j, RED) for part in comp.detail for i, j in combinations(part, 2)}
         edges |= {straight(i, j, GREEN) for i in part1 for j in part2}
         return frozenset(edges)
-    if tag == "BplusC":
-        (green_nodes,) = comp.detail
-        return frozenset(
-            both | {loop(k, RED) for k in nodes} | {loop(k, GREEN) for k in green_nodes}
-        )
-    if tag == "CplusD":
-        (green_nodes,) = comp.detail
-        return frozenset(both | {loop(k, GREEN) for k in green_nodes})
-    if tag == "BorC":
-        return frozenset(both | {loop(k, BLUE) for k in nodes})
-    if tag == "ExoticBD":
-        (blue_nodes,) = comp.detail
-        return frozenset(both | {loop(k, BLUE) for k in blue_nodes})
-    raise ValueError(f"unknown component tag: {tag!r}")
+    if tag not in _LOOP_MODELS:
+        raise ValueError(f"unknown component tag: {tag!r}")
+    everywhere, marked = _LOOP_MODELS[tag]
+    edges = {straight(i, j, c) for i, j in combinations(nodes, 2) for c in (RED, GREEN)}
+    edges |= {loop(k, c) for k in nodes for c in everywhere}
+    if marked is not None:
+        (marked_nodes,) = comp.detail
+        edges |= {loop(k, marked) for k in marked_nodes}
+    return frozenset(edges)
 
 
-def _component_edges(g: ColouredGraph, nodes: tuple[int, ...]) -> frozenset[Edge]:
-    node_set = set(nodes)
-    return frozenset(e for e in g.edges if set(e.ends) <= node_set)
+def _split_components(g: ColouredGraph) -> list[tuple[tuple[int, ...], list[Edge]]]:
+    """The connected components by least node, each with its own edges."""
+    parts = connected_components(g)
+    part_of = {v: c for c, part in enumerate(parts) for v in part}
+    edges: list[list[Edge]] = [[] for _ in parts]
+    for e in g.edges:
+        edges[part_of[e.ends[0]]].append(e)
+    return list(zip(parts, edges))
 
 
-def _bipartite_parts(g: ColouredGraph, nodes: tuple[int, ...]) -> list[tuple[int, ...]] | None:
-    """Red-connectivity parts of a loopless component, or None if not two parts."""
-    node_set = set(nodes)
-    red = (e.ends for e in g.edges if not e.is_loop and e.colour == RED and set(e.ends) <= node_set)
-    parts = linked_parts(nodes, red)
-    if len(parts) != 2:
-        return None
-    parts.sort(key=lambda p: (len(p), p[0]))
-    return parts
-
-
-def _match_component(
-    g: ColouredGraph, nodes: tuple[int, ...], loop_palette: str
-) -> Component:
+def _match_component(nodes: tuple[int, ...], edges: list[Edge], loop_palette: str) -> Component:
     """Identify the model of one connected component, verifying edge-exactness.
 
     loop_palette is BICHROMATIC for quasi-crystallograph components or
     TRICHROMATIC for projectified ones (blue loops).
     """
     m = len(nodes)
-    actual = _component_edges(g, nodes)
-    red_loops = {v for v in nodes if loop(v, RED) in actual}
-    green_loops = {v for v in nodes if loop(v, GREEN) in actual}
-    blue_loops = {v for v in nodes if loop(v, BLUE) in actual}
-    any_green_straight = any(
-        not e.is_loop and e.colour == GREEN for e in actual
-    )
-
-    candidate: Component | None = None
-    if loop_palette == TRICHROMATIC and (red_loops or green_loops):
+    looped: dict[str, list[int]] = {}
+    red_links = []
+    green_straight = False
+    for e in edges:
+        if e.is_loop:
+            looped.setdefault(e.colour, []).append(e.ends[0])
+        elif e.colour == RED:
+            red_links.append(e.ends)
+        else:
+            green_straight = True
+    if loop_palette == TRICHROMATIC and (RED in looped or GREEN in looped):
         raise ValueError(f"component {nodes} carries non-blue loops")
 
-    looped = red_loops | green_loops | blue_loops
-    all_nodes = set(nodes)
-    if not looped:
-        if m == 1:
-            candidate = Component(nodes, "A", (1,))
-        elif not any_green_straight:
-            candidate = Component(nodes, "A", (m,))
-        elif all(
-            {RED, GREEN} <= g.straight_colours(i, j) for i, j in combinations(nodes, 2)
-        ):
-            candidate = Component(nodes, "D", (m,))
-        else:
-            parts = _bipartite_parts(g, nodes)
-            if parts is not None:
-                candidate = Component(
-                    nodes, "Bipartite", (len(parts[0]), len(parts[1])), tuple(parts)
-                )
-    elif loop_palette == BICHROMATIC:
-        if red_loops == all_nodes:
-            if green_loops == all_nodes:
-                candidate = Component(nodes, "BC", (m,))
-            elif not green_loops:
-                candidate = Component(nodes, "B", (m,))
-            else:
-                r = len(green_loops)
-                candidate = Component(
-                    nodes, "BplusC", (r, m - r), (tuple(sorted(green_loops)),)
-                )
-        elif not red_loops and green_loops:
-            if green_loops == all_nodes:
-                candidate = Component(nodes, "C", (m,))
-            else:
-                r = len(green_loops)
-                candidate = Component(
-                    nodes, "CplusD", (r, m - r), (tuple(sorted(green_loops)),)
-                )
+    # the loop pattern: colours looping at every node, and at most one more
+    # looping at a proper nonempty subset
+    everywhere = frozenset(c for c, at in looped.items() if len(at) == m)
+    marked = [c for c in looped if c not in everywhere]
+    key = (everywhere, marked[0] if marked else None)
+    tag = _TAG_OF_LOOPS.get(key) if len(marked) < 2 else None
+    if tag is None:
+        candidate = None
+    elif marked:
+        at = tuple(sorted(looped[marked[0]]))
+        candidate = Component(nodes, tag, (len(at), m - len(at)), (at,))
+    elif tag != "D":
+        candidate = Component(nodes, tag, (m,))
+    elif not green_straight:  # loopless: A, D or Bipartite by the red parts
+        candidate = Component(nodes, "A", (m,))
     else:
-        if blue_loops == all_nodes:
-            candidate = Component(nodes, "BorC", (m,))
+        parts = linked_parts(nodes, red_links)
+        if len(parts) == 2:
+            parts.sort(key=lambda p: (len(p), p[0]))
+            candidate = Component(nodes, "Bipartite", (len(parts[0]), len(parts[1])), tuple(parts))
         else:
-            r = len(blue_loops)
-            candidate = Component(
-                nodes, "ExoticBD", (r, m - r), (tuple(sorted(blue_loops)),)
-            )
+            candidate = Component(nodes, "D", (m,))
 
-    if candidate is not None and model_edges(candidate) == actual:
+    if candidate is not None and model_edges(candidate) == frozenset(edges):
         return candidate
     raise InconsistencyError(
         f"component {nodes} matches no model graph (classification falsified?)"
@@ -466,19 +442,19 @@ def classify_components(g: ColouredGraph) -> ComponentReport:
     """
     if not is_quasi_crystallograph(g):
         raise ValueError("classify_components needs a quasi-crystallograph")
-    parts = connected_components(g)
-    return ComponentReport(tuple(_match_component(g, p, BICHROMATIC) for p in parts))
+    return ComponentReport(
+        tuple(_match_component(p, edges, BICHROMATIC) for p, edges in _split_components(g))
+    )
 
 
 def classify_projective_components(g: ColouredGraph) -> ComponentReport:
     """Decompose a projectified quasi-crystallograph into typed components."""
     if g.palette != TRICHROMATIC:
         raise ValueError("classify_projective_components needs a trichromatic graph")
-    parts = connected_components(g)
     out = []
-    for p in parts:
+    for p, edges in _split_components(g):
         try:
-            out.append(_match_component(g, p, TRICHROMATIC))
+            out.append(_match_component(p, edges, TRICHROMATIC))
         except InconsistencyError:
             raise ValueError(
                 f"component {p} matches no projective model; "
@@ -629,6 +605,8 @@ def enumerate_crystallographs(n: int, mode: str = "all"):
     """
     if mode not in ("all", "quasi", "up_to_weyl"):
         raise ValueError(f"unknown mode: {mode!r}")
+    if n < 0:
+        raise ValueError("node count must be >= 0")
     if mode == "up_to_weyl":
         if n > enumeration_limit(5):
             raise ValueError(f"n={n} exceeds the up_to_weyl limit {enumeration_limit(5)}")

@@ -455,7 +455,7 @@ def kernel_failures(graphs) -> list[str]:
             if any(sum(map(mul, row, v)) != D * x for row, x in zip(P, v)):
                 failures.append(f"projection moves a kernel vector: {graph_to_json(g)}")
         columns = list(zip(*P))
-        for alpha in roots_from_graph(g):
+        for alpha in sorted(roots_from_graph(g)):
             if any(sum(map(mul, alpha, col)) for col in columns):
                 failures.append(f"projection image not annihilated by {alpha}: {graph_to_json(g)}")
                 break
@@ -542,6 +542,8 @@ def verify_all(
     """
     if n > enumeration_limit(6):
         raise ValueError(f"n={n} exceeds the verification limit {enumeration_limit(6)}")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     start = time.monotonic()
     failures: list[str] = []
     total_graphs = 1 << (n * n + n)

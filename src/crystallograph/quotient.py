@@ -72,8 +72,8 @@ class RestrictedSystem:
         return json.dumps(self.to_json_obj(), separators=(",", ":"))
 
 
-def _classical_red_parts(g: ColouredGraph) -> tuple[list[tuple[int, ...]], set[int]]:
-    """Red components and the remaining (bichromatic-component) nodes.
+def _classical_red_parts(g: ColouredGraph) -> list[tuple[int, ...]]:
+    """The type-A (red) components of g, by least node.
 
     Rejects graphs that are not crystallographs in classical normal form.
     """
@@ -84,14 +84,12 @@ def _classical_red_parts(g: ColouredGraph) -> tuple[list[tuple[int, ...]], set[i
         raise ValueError(
             "graph has a bipartite component; apply bipartite_normalize first"
         )
-    parts = [c.nodes for c in report.components if c.type == "A"]
-    other = {v for c in report.components if c.type != "A" for v in c.nodes}
-    return parts, other
+    return [c.nodes for c in report.components if c.type == "A"]
 
 
 def kernel_basis(g: ColouredGraph) -> KernelBasis:
     """Basis of the common kernel of the encoded roots, one vector per red part."""
-    parts, _ = _classical_red_parts(g)
+    parts = _classical_red_parts(g)
     vectors = []
     for part in parts:
         entry = Fraction(1, len(part))
@@ -108,7 +106,7 @@ def orthogonal_projection(g: ColouredGraph) -> RationalMatrix:
     Sends e_i to e_{I_i}/|I_i| when node i lies in a red component I_i and
     to 0 otherwise; symmetric and idempotent by construction.
     """
-    parts, _ = _classical_red_parts(g)
+    parts = _classical_red_parts(g)
     matrix = [[Fraction(0)] * g.n for _ in range(g.n)]
     for part in parts:
         entry = Fraction(1, len(part))
@@ -125,12 +123,11 @@ def _check_nested(g: ColouredGraph, gp: ColouredGraph) -> None:
         raise ValueError("subgraph relation violated: gp has edges outside g")
 
 
-def _nested_parts(g: ColouredGraph, gp: ColouredGraph):
+def _nested_parts(g: ColouredGraph, gp: ColouredGraph) -> list[tuple[int, ...]]:
     _check_nested(g, gp)
     if not is_crystallograph(g):
         raise ValueError("the ambient graph is not a crystallograph")
-    parts, bichromatic_nodes = _classical_red_parts(gp)
-    return parts, bichromatic_nodes
+    return _classical_red_parts(gp)
 
 
 def _rewrite(g: ColouredGraph, gp: ColouredGraph, parts) -> ColouredGraph:
@@ -181,7 +178,7 @@ def quotient_graph(g: ColouredGraph, gp: ColouredGraph) -> ColouredGraph:
     Edges inside the bichromatic components of gp restrict to zero and are
     dropped.  The edge set is deduplicated.
     """
-    parts, _ = _nested_parts(g, gp)
+    parts = _nested_parts(g, gp)
     return _rewrite(g, gp, parts)
 
 
@@ -192,7 +189,7 @@ def restricted_system(g: ColouredGraph, gp: ColouredGraph) -> RestrictedSystem:
     just exact evaluation of covectors, zero restrictions dropped and the
     rest deduplicated.
     """
-    parts, _ = _nested_parts(g, gp)
+    parts = _nested_parts(g, gp)
     covectors = set()
     for alpha in roots_from_graph(g) - roots_from_graph(gp):
         vec = tuple(sum(alpha[v - 1] for v in part) for part in parts)

@@ -256,6 +256,44 @@ def test_malformed_graph_is_a_one_line_error(capsys, tmp_path, text):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "F"],
+        ["check", "F", "--roots"],
+        ["classify", "F"],
+        ["from-roots", "F"],
+        ["kernel", "F"],
+        ["quotient", "F", "F"],
+        ["arrangement", "F"],
+        ["dot", "F"],
+    ],
+    ids=lambda argv: "-".join(argv),
+)
+def test_non_utf8_input_is_a_one_line_error(capsys, tmp_path, argv):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, *(str(path) if a == "F" else a for a in argv))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("samples", ["-1", "0"])
+def test_verify_rejects_samples_below_one(capsys, samples):
+    code, out, err = run(capsys, "verify", "--nodes", "5", "--samples", samples)
+    assert code == 1 and out == ""
+    assert err == f"error: samples must be >= 1, got {samples}\n"
+
+
+@pytest.mark.parametrize(
+    "mode", [[], ["--quasi"], ["--up-to-weyl"]], ids=["all", "quasi", "up-to-weyl"]
+)
+def test_enumerate_rejects_negative_node_count(capsys, mode):
+    code, out, err = run(capsys, "enumerate", "--nodes", "-3", *mode)
+    assert code == 1 and out == ""
+    assert err == "error: node count must be >= 0\n"
+
+
 def test_max_n_env_error_names_the_variable(capsys, monkeypatch):
     monkeypatch.setenv("CRYSTALLOGRAPH_MAX_N", "abc")
     code, _, err = run(capsys, "enumerate", "--nodes", "2", "--count-only")

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from collections import Counter
+from itertools import chain, combinations
 
 import pytest
 
@@ -11,6 +12,7 @@ from crystallograph import classical, crystal, oracle
 from crystallograph.crystal import (
     CRYSTAL_PROPAGATING,
     QUASI_PROPAGATING,
+    Component,
     InconsistencyError,
     all_bichromatic_graphs,
     all_edge_slots,
@@ -35,6 +37,7 @@ from crystallograph.graphs import (
     RED,
     TRICHROMATIC,
     ColouredGraph,
+    connected_components,
     disjoint_union,
     empty_graph,
     flip_colour,
@@ -289,6 +292,87 @@ def test_classify_projective_components():
         )
 
 
+_BICHROMATIC_TAGS = ("A", "D", "B", "C", "BC", "Bipartite", "BplusC", "CplusD")
+_PROJECTIVE_TAGS = ("A", "D", "Bipartite", "BorC", "ExoticBD")
+_NOT_PROJECTIVE = "matches no projective model|carries non-blue loops"
+
+
+def _models_by_edges(nodes, tags):
+    """Every model on `nodes`, drawn through model_edges and keyed by its edge
+    set: each tag with every detail (every proper nonempty node subset for
+    the exotic tags, both orders of every split into two parts for
+    Bipartite).  D is drawn from two nodes up: on one node it is A."""
+    m = len(nodes)
+    subsets = [s for r in range(1, m) for s in combinations(nodes, r)]
+    candidates = []
+    for tag in tags:
+        if tag in ("BplusC", "CplusD", "ExoticBD"):
+            candidates += [Component(nodes, tag, (len(s), m - len(s)), (s,)) for s in subsets]
+        elif tag == "Bipartite":
+            for s in subsets:
+                rest = tuple(v for v in nodes if v not in s)
+                candidates.append(Component(nodes, tag, (len(s), len(rest)), (s, rest)))
+        elif tag != "D" or m >= 2:
+            candidates.append(Component(nodes, tag, (m,)))
+    models: dict[frozenset, list[Component]] = {}
+    for comp in candidates:
+        models.setdefault(model_edges(comp), []).append(comp)
+    return models
+
+
+def _unique_match(models, edges):
+    """The one model a component's edges match, its detail in canonical order
+    (parts by size, then least node), or None if nothing matches."""
+    matches = models.get(frozenset(edges), [])
+    # a model graph names its tag and its detail parts
+    assert len({(c.type, frozenset(c.detail)) for c in matches}) <= 1, matches
+    return min(matches, key=lambda c: [(len(p), p) for p in c.detail], default=None)
+
+
+def _trichromatic_graphs(n):
+    """Every trichromatic graph on n nodes: red/green straights, red/green/blue loops."""
+    slots = [straight(i, j, c) for i, j in combinations(range(1, n + 1), 2) for c in (RED, GREEN)]
+    slots += [loop(k, c) for k in range(1, n + 1) for c in (RED, GREEN, BLUE)]
+    for mask in range(1 << len(slots)):
+        yield graph(n, (e for b, e in enumerate(slots) if mask >> b & 1), TRICHROMATIC)
+
+
+def test_classification_matches_brute_force_models_n3():
+    """Every component of every bichromatic and trichromatic graph with n <= 3
+    gets the unique model drawn by model_edges that matches it, or raises."""
+    models = {}
+    outcomes = Counter()
+    for n in range(4):
+        for g in chain(all_bichromatic_graphs(n), _trichromatic_graphs(n)):
+            projective = g.palette == TRICHROMATIC
+            found = []
+            for nodes in connected_components(g):
+                if (nodes, g.palette) not in models:
+                    tags = _PROJECTIVE_TAGS if projective else _BICHROMATIC_TAGS
+                    models[nodes, g.palette] = _models_by_edges(nodes, tags)
+                edges = [e for e in g.edges if set(e.ends) <= set(nodes)]
+                expected = _unique_match(models[nodes, g.palette], edges)
+                outcomes[g.palette, expected is not None] += 1
+                if projective:
+                    alone = graph(n, edges, TRICHROMATIC)
+                    if expected is None:
+                        with pytest.raises(ValueError, match=_NOT_PROJECTIVE):
+                            classify_projective_components(alone)
+                    else:
+                        report = classify_projective_components(alone)
+                        assert [c for c in report.components if c.nodes == nodes] == [expected]
+                elif expected is None:
+                    with pytest.raises(InconsistencyError, match="matches no model graph"):
+                        crystal._match_component(nodes, edges, g.palette)
+                else:
+                    assert crystal._match_component(nodes, edges, g.palette) == expected
+                found.append(expected)
+            if not projective and is_quasi_crystallograph(g):
+                assert classify_components(g).components == tuple(found)
+    assert sum(outcomes.values()) == 43612
+    assert len(outcomes) == 4, outcomes  # matches and misses on both palettes
+
+
 def test_red_components_examples():
     g = classical.graph_pairs_and_points(2, 1)
     assert red_components(g) == [(1, 2), (3, 4), (5,)]
@@ -385,6 +469,9 @@ def test_enumerate_canonical_order_and_limits():
         next(enumerate_crystallographs(6, "up_to_weyl"))
     with pytest.raises(ValueError):
         next(enumerate_crystallographs(2, "sideways"))
+    for mode in ("all", "quasi", "up_to_weyl"):
+        with pytest.raises(ValueError, match="node count must be >= 0"):
+            next(enumerate_crystallographs(-3, mode))
 
 
 def test_enumerate_up_to_weyl():

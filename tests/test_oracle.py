@@ -116,7 +116,7 @@ def test_kernel_failures_reports_each_fault(monkeypatch, case):
     # A_2 on 3 nodes: one red part {1,2,3}, kernel vector (1,1,1)/3, projection J/3
     g = classical.graph_a(3)
     label = graph_to_json(g)
-    first_root = next(iter(roots_from_graph(g)))
+    first_root = min(roots_from_graph(g))
     faults = {
         # spans the wrong line
         "wrong span": (None, [f"kernel span mismatch: {label}"]),
@@ -250,6 +250,12 @@ def test_verify_all_n3():
     assert summary.crystallographs == 144
     assert summary.quasi_crystallographs == 204
     assert summary.orbits == 45
+
+
+@pytest.mark.parametrize("n, samples", [(5, -1), (5, 0), (1, 0)])
+def test_verify_all_rejects_samples_below_one(n, samples):
+    with pytest.raises(ValueError, match=f"samples must be >= 1, got {samples}"):
+        verify_all(n, samples=samples)
 
 
 def test_summary_json():

@@ -116,7 +116,7 @@ def test_kernel_failures_reports_each_fault(monkeypatch, case):
     # A_2 on 3 nodes: one red part {1,2,3}, kernel vector (1,1,1)/3, projection J/3
     g = classical.graph_a(3)
     label = graph_to_json(g)
-    first_root = min(roots_from_graph(g))
+    least_root = min(roots_from_graph(g))
     faults = {
         # spans the wrong line
         "wrong span": (None, [f"kernel span mismatch: {label}"]),
@@ -130,7 +130,7 @@ def test_kernel_failures_reports_each_fault(monkeypatch, case):
         "moves e_I/|I|": (_third((0, 0, 0), (0, 0, 0), (0, 0, 0)), [f"projection moves a kernel vector: {label}"]),
         "root not annihilated": (
             _third((3, 0, 0), (0, 3, 0), (0, 0, 3)),
-            [f"projection image not annihilated by {first_root}: {label}"],
+            [f"projection image not annihilated by {least_root}: {label}"],
         ),
     }
     proj, expected = faults[case]

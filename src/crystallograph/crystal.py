@@ -36,6 +36,13 @@ into components, look each component's loop pattern up in the same table
 inverted (a loopless one is A, D or Bipartite by its red parts), and raise
 unless the component equals the model drawn, which would mean the
 classification itself is broken.
+
+Weyl orbits are found on slot masks too.  A signed permutation permutes the
+slots of a graph's palette (`all_edge_slots`, plus the blue loops of a
+trichromatic graph), so each Coxeter generator of W(BC_n) is one slot map,
+read off `weyl_act_graph` one edge at a time.  `orbit_canonical` closes the
+graph's mask under the n generator maps and serialises only the distinct
+images, keeping the least.
 """
 
 from __future__ import annotations
@@ -73,7 +80,6 @@ from .rootsys import (
     enumeration_limit,
     reflection_permutation,
     weyl_apply,
-    weyl_group,
 )
 
 
@@ -243,6 +249,36 @@ def slot_mask(g: ColouredGraph) -> int:
     with the rules in which red propagates.
     """
     return _bits(_edge_slots(g.n, g.edges))
+
+
+_CHUNK_BITS = 10
+_CHUNK_CUT = (1 << _CHUNK_BITS) - 1
+
+
+def _mask_map_tables(image_bit: list[int]) -> list[list[int]]:
+    """Per-chunk OR tables for the map mask -> OR of 1<<image_bit[b] over bits.
+
+    Chunking by 10 bits keeps the tables small at every n (they would grow
+    as 2^(bits/2) with half-width chunks, unusable beyond n = 5).
+    """
+    nbits = len(image_bit)
+    tables = []
+    for offset in range(0, nbits, _CHUNK_BITS):
+        width = min(_CHUNK_BITS, nbits - offset)
+        table = [0] * (1 << width)
+        for h in range(1, 1 << width):
+            low = h & -h
+            table[h] = table[h ^ low] | (1 << image_bit[offset + low.bit_length() - 1])
+        tables.append(table)
+    return tables
+
+
+def _mask_map_apply(tables: list[list[int]], mask: int) -> int:
+    out = 0
+    for table in tables:
+        out |= table[mask & _CHUNK_CUT]
+        mask >>= _CHUNK_BITS
+    return out
 
 
 def closed(mask: int, rules: HornRules | _GraphRules) -> bool:
@@ -556,18 +592,71 @@ def _classical_component_menu(m: int) -> list[tuple[str, ColouredGraph]]:
     return [(tag, ColouredGraph(m, model_edges(Component(nodes, tag, (m,))))) for tag in tags]
 
 
+@cache
+def _palette_slots(n: int, palette: str) -> tuple[tuple[Edge, ...], dict[Edge, int]]:
+    """The edges a graph of this palette can hold, with each edge's slot:
+    all_edge_slots(n), then the n blue loops when trichromatic."""
+    slots = all_edge_slots(n)
+    if palette == TRICHROMATIC:
+        slots += tuple(loop(k, BLUE) for k in range(1, n + 1))
+    return slots, {e: b for b, e in enumerate(slots)}
+
+
+@cache
+def _generator_tables(n: int, palette: str) -> tuple[list[list[int]], ...]:
+    """Slot maps of the n Coxeter generators of W(BC_n): the adjacent
+    transpositions (k k+1) and the sign flip of node 1.
+
+    Each slot's image is read off `weyl_act_graph` on its one-edge graph,
+    never from reflections, so the orbit route stays independent of the
+    root route.
+    """
+    slots, index = _palette_slots(n, palette)
+    generators = [SignedPermutation.sign_flip(n, 1)] if n else []
+    for k in range(n - 1):
+        perm = list(range(n))
+        perm[k], perm[k + 1] = k + 1, k
+        generators.append(SignedPermutation(tuple(perm), (1,) * n))
+    tables = []
+    for w in generators:
+        images = []
+        for e in slots:
+            (image,) = weyl_act_graph(w, ColouredGraph(n, frozenset((e,)), palette)).edges
+            images.append(index[image])
+        tables.append(_mask_map_tables(images))
+    return tuple(tables)
+
+
+def _weyl_orbit_masks(n: int, palette: str, mask: int) -> set[int]:
+    """The W(BC_n) orbit of a slot mask over `_palette_slots(n, palette)`,
+    closed under the generator maps with a worklist."""
+    generators = _generator_tables(n, palette)
+    seen = {mask}
+    todo = [mask]
+    while todo:
+        m = todo.pop()
+        for tables in generators:
+            image = _mask_map_apply(tables, m)
+            if image not in seen:
+                seen.add(image)
+                todo.append(image)
+    return seen
+
+
 def orbit_canonical(g: ColouredGraph) -> tuple[str, ColouredGraph]:
     """Lexicographically minimal serialisation over the W(BC_n) orbit, with
-    the graph it serialises."""
-    best: tuple[str, ColouredGraph] | None = None
-    for w in weyl_group(g.n):
-        image = weyl_act_graph(w, g)
-        key = graph_to_json(image)
-        if best is None or key < best[0]:
-            best = (key, image)
-    if best is None:
-        raise InconsistencyError(f"the Weyl group of BC_{g.n} listed no element")
-    return best
+    the graph it serialises.
+
+    The orbit is found on slot masks by closing the graph's mask under the
+    generators of W(BC_n) (`_weyl_orbit_masks`); only its distinct images
+    are built and serialised, not all 2^n n! group elements.
+    """
+    slots, index = _palette_slots(g.n, g.palette)
+    images = (
+        ColouredGraph(g.n, frozenset(e for b, e in enumerate(slots) if mask >> b & 1), g.palette)
+        for mask in _weyl_orbit_masks(g.n, g.palette, _bits(index[e] for e in g.edges))
+    )
+    return min(((graph_to_json(h), h) for h in images), key=lambda pair: pair[0])
 
 
 def _weyl_orbit_representatives(n: int) -> list[ColouredGraph]:

@@ -93,13 +93,6 @@ class ColouredGraph:
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges, key=edge_sort_key)
 
-    def straight_colours(self, i: int, j: int) -> set[str]:
-        key = (min(i, j), max(i, j))
-        return {e.colour for e in self.edges if not e.is_loop and e.ends == key}
-
-    def loop_colours(self, k: int) -> set[str]:
-        return {e.colour for e in self.edges if e.is_loop and e.ends == (k,)}
-
     def is_subgraph_of(self, other: ColouredGraph) -> bool:
         return self.n == other.n and self.edges <= other.edges
 

@@ -28,6 +28,9 @@ from .crystal import (
     QUASI_PROPAGATING,
     Component,
     InconsistencyError,
+    _mask_map_apply,
+    _mask_map_tables,
+    _weyl_orbit_masks,
     all_edge_slots,
     bipartite_normalize,
     classify_components,
@@ -39,8 +42,10 @@ from .crystal import (
     is_quasi_crystallograph,
     model_edges,
     orbit_canonical,
+    slot_mask,
 )
 from .graphs import (
+    BICHROMATIC,
     ColouredGraph,
     graph_from_roots,
     graph_to_json,
@@ -72,36 +77,6 @@ RNG_DEFAULT_SEED = 20240801
 def _canon_line(alpha: Root) -> Root:
     first = next(c for c in alpha if c != 0)
     return alpha if first > 0 else tuple(-c for c in alpha)
-
-
-_CHUNK_BITS = 10
-_CHUNK_CUT = (1 << _CHUNK_BITS) - 1
-
-
-def _mask_map_tables(image_bit: list[int]) -> list[list[int]]:
-    """Per-chunk OR tables for the map mask -> OR of 1<<image_bit[b] over bits.
-
-    Chunking by 10 bits keeps the tables small at every n (they would grow
-    as 2^(lines/2) with half-width chunks, unusable beyond n = 5).
-    """
-    nbits = len(image_bit)
-    tables = []
-    for offset in range(0, nbits, _CHUNK_BITS):
-        width = min(_CHUNK_BITS, nbits - offset)
-        table = [0] * (1 << width)
-        for h in range(1, 1 << width):
-            low = h & -h
-            table[h] = table[h ^ low] | (1 << image_bit[offset + low.bit_length() - 1])
-        tables.append(table)
-    return tables
-
-
-def _mask_map_apply(tables: list[list[int]], mask: int) -> int:
-    out = 0
-    for table in tables:
-        out |= table[mask & _CHUNK_CUT]
-        mask >>= _CHUNK_BITS
-    return out
 
 
 class LineTables:
@@ -417,6 +392,35 @@ def bijection_sweep(n: int, samples: int | None = None, seed: int = RNG_DEFAULT_
     return checked, crystallographs, quasi_count, failures
 
 
+def weyl_orbit_failures(n: int, crystallographs) -> list[str]:
+    """Count the Weyl orbits of every crystallograph on n nodes, measured.
+
+    Each slot mask is closed under the generators of W(BC_n); the number of
+    orbits must equal `count_weyl_orbits(n)`, and every image must be one of
+    the given crystallographs, an exhaustive check that the predicate is
+    Weyl-invariant.
+    """
+    masks = [slot_mask(g) for g in crystallographs]
+    known = set(masks)
+    unseen = set(masks)
+    orbits = 0
+    failures = []
+    for g, mask in zip(crystallographs, masks):
+        if mask not in unseen:
+            continue
+        orbit = _weyl_orbit_masks(n, BICHROMATIC, mask)
+        unseen -= orbit
+        orbits += 1
+        for image in sorted(orbit - known):
+            failures.append(
+                f"Weyl image {graph_to_json(graph_from_slot_mask(n, image))} "
+                f"of crystallograph {graph_to_json(g)} is not a crystallograph"
+            )
+    if orbits != count_weyl_orbits(n):
+        failures.append(f"orbit count {orbits} != closed form {count_weyl_orbits(n)}")
+    return failures
+
+
 def classification_failures(graphs) -> list[str]:
     """classify_components must succeed with exact model reconstruction."""
     failures = []
@@ -536,9 +540,12 @@ def verify_all(
 ) -> tuple[EnumerationSummary, list[str]]:
     """Run every theorem suite at scale n; failures are data, not errors.
 
-    Exhaustive below the per-suite limits (graph sweeps at n <= 4, pair
-    sweeps at n <= 3), seeded sampling above.  Deterministic for a fixed
-    seed regardless of internal ordering.
+    Exhaustive below the per-suite limits (graph sweeps and the measured
+    Weyl orbit count at n <= 4, pair sweeps at n <= 3), seeded sampling
+    above.  The summary's `orbits` is always the closed form; at n <= 4 it
+    is also checked against the orbits counted from the sweep, while at
+    n >= 5 it is closed-form only.  Deterministic for a fixed seed
+    regardless of internal ordering.
     """
     if n > enumeration_limit(6):
         raise ValueError(f"n={n} exceeds the verification limit {enumeration_limit(6)}")
@@ -560,6 +567,7 @@ def verify_all(
             failures.append(
                 f"quasi count {quasi_count} != closed form {count_quasi_crystallographs(n)}"
             )
+        failures += weyl_orbit_failures(n, crystallographs)
         failures += classification_failures(crystallographs)
         failures += kernel_failures(crystallographs)
     else:

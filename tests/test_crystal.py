@@ -22,6 +22,7 @@ from crystallograph.crystal import (
     closed,
     closure_rules,
     enumerate_crystallographs,
+    graph_from_slot_mask,
     is_crystallograph,
     is_projective_crystallograph,
     is_quasi_crystallograph,
@@ -47,9 +48,10 @@ from crystallograph.graphs import (
     loop,
     roots_from_graph,
     straight,
+    weyl_act_graph,
 )
 from crystallograph.linalg import nullspace_basis
-from crystallograph.rootsys import roots_a, weyl_apply
+from crystallograph.rootsys import roots_a, weyl_apply, weyl_group
 
 
 def test_is_crystallograph_classical_graphs():
@@ -496,3 +498,37 @@ def test_up_to_weyl_matches_orbit_decomposition(crystallographs_small):
     assert len(orbits) == len(reps)
     assert sum(size for _, size in orbits) == 144
     assert {orbit_canonical(g)[0] for g, _ in orbits} == {orbit_canonical(g)[0] for g in reps}
+
+
+def _reference_orbit_canonical(g):
+    """The full-group route: serialise the image under every signed permutation."""
+    best = None
+    for w in weyl_group(g.n):
+        image = weyl_act_graph(w, g)
+        key = graph_to_json(image)
+        if best is None or key < best[0]:
+            best = (key, image)
+    return best
+
+
+def test_orbit_canonical_matches_full_group():
+    rng = random.Random(606)
+    graphs = [graph_from_slot_mask(n, mask) for n in (0, 1, 2) for mask in range(1 << (n * n + n))]
+    graphs += [oracle.random_bichromatic_graph(3, rng) for _ in range(2000)]
+    tri_slots = all_edge_slots(3) + tuple(loop(k, BLUE) for k in (1, 2, 3))
+    for _ in range(500):
+        mask = rng.getrandbits(len(tri_slots))
+        edges = frozenset(e for b, e in enumerate(tri_slots) if mask >> b & 1)
+        graphs.append(ColouredGraph(3, edges, TRICHROMATIC))
+    assert any(e.colour == BLUE for g in graphs for e in g.edges)
+    graphs += enumerate_crystallographs(4, "up_to_weyl")
+    graphs += [oracle.random_bichromatic_graph(5, rng) for _ in range(10)]
+    for g in graphs:
+        assert orbit_canonical(g) == _reference_orbit_canonical(g), graph_to_json(g)
+
+
+def test_enumerate_up_to_weyl_n5():
+    reps = list(enumerate_crystallographs(5, "up_to_weyl"))
+    assert len(reps) == 316 == oracle.count_weyl_orbits(5)
+    assert all(is_crystallograph(g) for g in reps)
+    assert len({orbit_canonical(g)[0] for g in reps}) == 316

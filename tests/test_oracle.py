@@ -16,9 +16,12 @@ from crystallograph.crystal import (
     is_crystallograph,
 )
 from crystallograph.graphs import (
+    RED,
     ColouredGraph,
+    graph,
     graph_from_roots,
     graph_to_json,
+    loop,
     roots_from_graph,
 )
 from crystallograph.oracle import (
@@ -35,6 +38,7 @@ from crystallograph.oracle import (
     random_nested_pair,
     verify_all,
     weyl_commutation_failures,
+    weyl_orbit_failures,
 )
 from crystallograph.rootsys import (
     is_root_subsystem,
@@ -250,6 +254,25 @@ def test_verify_all_n3():
     assert summary.crystallographs == 144
     assert summary.quasi_crystallographs == 204
     assert summary.orbits == 45
+
+
+def test_verify_all_reports_orbit_count_mismatch(monkeypatch):
+    closed_form = count_weyl_orbits
+    monkeypatch.setattr(oracle, "count_weyl_orbits", lambda n: closed_form(n) + 1)
+    _, failures = verify_all(3, samples=100)
+    assert failures == ["orbit count 45 != closed form 46"]
+
+
+def test_weyl_orbit_failures_names_stray_images():
+    crystallographs = list(enumerate_crystallographs(3, "all"))
+    assert weyl_orbit_failures(3, crystallographs) == []
+    # drop one of the three single red loops: their orbit still counts once,
+    # and the dropped graph is reported as an image of the first one kept
+    dropped = graph(3, [loop(3, RED)])
+    kept = [g for g in crystallographs if g != dropped]
+    failures = weyl_orbit_failures(3, kept)
+    assert len(failures) == 1
+    assert failures[0].startswith(f"Weyl image {graph_to_json(dropped)} of crystallograph ")
 
 
 @pytest.mark.parametrize("n, samples", [(5, -1), (5, 0), (1, 0)])

@@ -14,16 +14,23 @@ still doubles but the green loop need not propagate.  Projective
 crystallographs are the trichromatic analogue where blue is the unique loop
 colour and propagates like a red loop.
 
+Every graph is an integer mask over one slot layout, `all_edge_slots`: the
+n^2 + n bichromatic edges (straight pairs, then red and green loops), then
+the n blue loops.  `_slot` computes an edge's slot and is the only encoder;
+`slot_mask` ORs it over a graph's edges, and `graph_from_slot_mask` decodes
+a mask with the cached slot tuple of the graph's palette.  A bichromatic
+graph never sets a blue bit, so the scans over 2^(n^2+n) masks read the
+same slots either way.
+
 Both rules are Horn implications "slot s and slot t force these slots" over
-the n^2 + n edge slots of `all_edge_slots`.  A graph is an integer mask over
-those slots (`slot_mask`), `closure_rules` lists the implications per slot,
-and `closed` checks a mask against them.  A blue loop takes the red-loop
-slot, so the projective predicate is the quasi check.  The full table has
-about 2n^3 entries, so a graph on more than `_TABLE_MAX_N` nodes is checked
-against `_GraphRules`, the implications between its own edges, built by the
-same slot arithmetic; its cost follows its edges, not n.  The rules are
-written from the two statements above, never from reflections, so the
-sweeps in `oracle` still compare two independent routes.
+those slots: `closure_rules` lists the implications per slot, and `closed`
+checks a mask against them.  A blue loop is a loop like any other, so the
+projective predicate is the same check with blue propagating.  The full
+table has about 2n^3 entries, so a graph on more than `_TABLE_MAX_N` nodes
+is checked against `_GraphRules`, the implications between its own edges,
+built by the same slot arithmetic; its cost follows its edges, not n.  The
+rules are written from the two statements above, never from reflections,
+so the sweeps in `oracle` still compare two independent routes.
 
 Every graph passing these predicates decomposes into connected components
 drawn from a short list of models, written once in `_LOOP_MODELS`.  Apart
@@ -38,11 +45,10 @@ unless the component equals the model drawn, which would mean the
 classification itself is broken.
 
 Weyl orbits are found on slot masks too.  A signed permutation permutes the
-slots of a graph's palette (`all_edge_slots`, plus the blue loops of a
-trichromatic graph), so each Coxeter generator of W(BC_n) is one slot map,
-read off `weyl_act_graph` one edge at a time.  `orbit_canonical` closes the
-graph's mask under the n generator maps and serialises only the distinct
-images, keeping the least.
+slots of a graph's palette, so each Coxeter generator of W(BC_n) is one
+slot map, read off `weyl_act_graph` one edge at a time.  `orbit_canonical`
+closes the graph's mask under the n generator maps and serialises only the
+distinct images, keeping the least.
 """
 
 from __future__ import annotations
@@ -52,7 +58,6 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
-from math import isqrt
 
 from . import linalg
 from .graphs import (
@@ -96,70 +101,60 @@ class InconsistencyError(RuntimeError):
 # closure predicates
 
 
-def _straight_slot(n: int, i: int, j: int, green: int) -> int:
-    """Slot of straight {i, j} in the order of all_edge_slots(n)."""
+def _slot(n: int, ends: tuple[int, ...], colour: str) -> int:
+    """Slot of the edge with these ends and colour on n nodes: its index in
+    all_edge_slots(n), and a blue loop at k takes slot n^2 + n + k - 1."""
+    if len(ends) == 1:
+        k = ends[0]
+        if colour == BLUE:
+            return n * n + n + k - 1
+        return n * (n - 1) + 2 * (k - 1) + (colour == GREEN)
+    i, j = ends
     if i > j:
         i, j = j, i
-    return 2 * ((i - 1) * n - (i - 1) * i // 2 + j - i - 1) + green
-
-
-def _loop_slot(n: int, k: int, green: int) -> int:
-    return n * (n - 1) + 2 * (k - 1) + green
-
-
-def _pair_of_slot(n: int, s: int) -> tuple[int, int, int]:
-    """Inverse of _straight_slot: (i, j, green) with i < j."""
-    q, green = divmod(s, 2)
-
-    def before(r: int) -> int:  # pairs whose first node is at most r
-        return r * (2 * n - r - 1) // 2
-
-    r = (2 * n - 1 - isqrt((2 * n - 1) ** 2 - 8 * q)) // 2
-    while before(r + 1) <= q:
-        r += 1
-    while before(r) > q:
-        r -= 1
-    return r + 1, q - before(r) + r + 2, green
+    return 2 * ((i - 1) * n - (i - 1) * i // 2 + j - i - 1) + (colour == GREEN)
 
 
 CRYSTAL_PROPAGATING = frozenset((RED, GREEN))
 QUASI_PROPAGATING = frozenset((RED,))
+PROJECTIVE_PROPAGATING = frozenset((BLUE,))
 
 HornRules = tuple[tuple[tuple[int, int], ...], ...]
 
 
 def _implications(
-    n: int, propagating: frozenset[str], s: int, near: Mapping[int, Iterable[int]]
+    n: int, propagating: frozenset[str], e: Edge, near: Mapping[int, Iterable[int]]
 ):
     """Yield (partner slot, required slots) for each implication whose later
-    premise is slot s.  Loop colours in `propagating` spread along straight
+    premise is edge e.  Loop colours in `propagating` spread along straight
     edges.  Only straight edges {v, b} with b in near[v] are taken as
     partners.
     """
-    if s >= n * (n - 1):
+    if e.is_loop:
         # rule 2: a loop at k next to straight {k,b} forces {k,b} in the
         # other colour, and a propagating loop colour forces the same loop at b
-        k, green_loop = divmod(s - n * (n - 1), 2)
-        k += 1
-        spreads = (GREEN if green_loop else RED) in propagating
+        (k,) = e.ends
+        spreads = e.colour in propagating
         for b in near.get(k, ()):
             if b == k:
                 continue
-            kb = _straight_slot(n, k, b, 0)
-            far = (_loop_slot(n, b, green_loop),) if spreads else ()
+            kb = _slot(n, (k, b), RED)
+            far = (_slot(n, (b,), e.colour),) if spreads else ()
             yield kb, (kb + 1, *far)
             yield kb + 1, (kb, *far)
         return
     # rule 1: straight edges {v,a} and {v,b} force {a,b}, red when their
     # colours agree and green otherwise
-    i, j, green = _pair_of_slot(n, s)
+    i, j = e.ends
+    s = _slot(n, e.ends, e.colour)
+    green = e.colour == GREEN
     for v, a in ((i, j), (j, i)):
         for b in near.get(v, ()):
             if b == i or b == j:
                 continue
-            vb = _straight_slot(n, v, b, 0)
+            vb = _slot(n, (v, b), RED)
             if vb < s:
-                ab = _straight_slot(n, a, b, 0)
+                ab = _slot(n, (a, b), RED)
                 yield vb, (ab + green,)
                 yield vb + 1, (ab + 1 - green,)
 
@@ -171,43 +166,31 @@ def _bits(slots: Iterable[int]) -> int:
     return mask
 
 
-def _edge_slots(n: int, edges: Iterable[Edge]) -> set[int]:
-    """Slots of the edges over all_edge_slots(n); a blue loop takes the
-    red-loop slot."""
-    slots = set()
-    for e in edges:
-        ends = e.ends
-        green = e.colour == GREEN
-        if len(ends) == 1:
-            slots.add(_loop_slot(n, ends[0], green))
-        else:
-            slots.add(_straight_slot(n, ends[0], ends[1], green))
-    return slots
-
-
 @cache
 def closure_rules(n: int, propagating: frozenset[str]) -> HornRules:
-    """Both closure rules as Horn implications over the n^2 + n edge slots.
+    """Both closure rules as Horn implications over the n^2 + 2n edge slots
+    of `all_edge_slots(n, TRICHROMATIC)`.
 
     Entry s lists pairs (partner bit, required mask): a graph holding slot
     s and the partner must hold every slot of the required mask.  Each
     implication is listed once, under the later of its two premise slots,
-    with partners in increasing order; the slots follow all_edge_slots(n).
-    The table has about 2n^3 entries, so it serves the small n of the
-    exhaustive scans; larger graphs are checked with `_GraphRules`.
+    with partners in increasing order.  A bichromatic mask never reaches
+    the n blue-loop rows at the end.  The table has about 2n^3 entries, so
+    it serves the small n of the exhaustive scans; larger graphs are
+    checked with `_GraphRules`.
     """
     every = {v: range(1, n + 1) for v in range(1, n + 1)}
     return tuple(
-        tuple(sorted((1 << t, _bits(req)) for t, req in _implications(n, propagating, s, every)))
-        for s in range(n * n + n)
+        tuple(sorted((1 << t, _bits(req)) for t, req in _implications(n, propagating, e, every)))
+        for e in all_edge_slots(n, TRICHROMATIC)
     )
 
 
 class _GraphRules:
     """The implications between one graph's own edges, as `closed` reads them.
 
-    Bit c stands for the graph's c-th edge slot in slot order, and bit
-    len(slots) for any slot the graph lacks; `mask` sets the graph's bits.
+    Bit c stands for the graph's c-th edge in slot order, and bit
+    len(edges) for any slot the graph lacks; `mask` sets the graph's bits.
     Entry c lists the implications whose later premise is edge c and whose
     partner is also an edge, built when `closed` reaches it.  `closed`
     passes over an implication whose partner is not set, so the answer is
@@ -219,9 +202,10 @@ class _GraphRules:
     def __init__(self, g: ColouredGraph, propagating: frozenset[str]):
         self.n = g.n
         self.propagating = propagating
-        self.slots = sorted(_edge_slots(g.n, g.edges))
-        self.index = {s: c for c, s in enumerate(self.slots)}
-        self.absent = 1 << len(self.slots)
+        slot = {e: _slot(g.n, e.ends, e.colour) for e in g.edges}
+        self.edges = sorted(g.edges, key=slot.__getitem__)
+        self.index = {slot[e]: c for c, e in enumerate(self.edges)}
+        self.absent = 1 << len(self.edges)
         self.mask = self.absent - 1
         self.neighbours: dict[int, set[int]] = {}
         for e in g.edges:
@@ -233,7 +217,7 @@ class _GraphRules:
     def __getitem__(self, c: int) -> list[tuple[int, int]]:
         index = self.index
         entries = []
-        for t, req in _implications(self.n, self.propagating, self.slots[c], self.neighbours):
+        for t, req in _implications(self.n, self.propagating, self.edges[c], self.neighbours):
             if t in index:
                 required = 0
                 for r in req:
@@ -243,32 +227,37 @@ class _GraphRules:
 
 
 def slot_mask(g: ColouredGraph) -> int:
-    """The graph's edges as a mask over all_edge_slots(g.n).
+    """The graph's edges as a mask over `all_edge_slots(g.n, g.palette)`.
 
-    A blue loop takes the red-loop slot, so a projective graph is checked
-    with the rules in which red propagates.
+    Every graph mask has this one layout: the n^2 + n bichromatic slots,
+    then the n blue loops, so a bichromatic graph never sets the blue bits.
+    `graph_from_slot_mask` is its inverse.
     """
-    return _bits(_edge_slots(g.n, g.edges))
+    n = g.n
+    mask = 0
+    for e in g.edges:
+        mask |= 1 << _slot(n, e.ends, e.colour)
+    return mask
 
 
 _CHUNK_BITS = 10
 _CHUNK_CUT = (1 << _CHUNK_BITS) - 1
 
 
-def _mask_map_tables(image_bit: list[int]) -> list[list[int]]:
-    """Per-chunk OR tables for the map mask -> OR of 1<<image_bit[b] over bits.
+def _mask_map_tables(image: list[int]) -> list[list[int]]:
+    """Per-chunk OR tables for the map mask -> OR of image[b] over set bits b.
 
     Chunking by 10 bits keeps the tables small at every n (they would grow
     as 2^(bits/2) with half-width chunks, unusable beyond n = 5).
     """
-    nbits = len(image_bit)
+    nbits = len(image)
     tables = []
     for offset in range(0, nbits, _CHUNK_BITS):
         width = min(_CHUNK_BITS, nbits - offset)
         table = [0] * (1 << width)
         for h in range(1, 1 << width):
             low = h & -h
-            table[h] = table[h ^ low] | (1 << image_bit[offset + low.bit_length() - 1])
+            table[h] = table[h ^ low] | image[offset + low.bit_length() - 1]
         tables.append(table)
     return tables
 
@@ -326,7 +315,7 @@ def is_projective_crystallograph(g: ColouredGraph) -> bool:
         raise ValueError("is_projective_crystallograph needs a trichromatic graph")
     if any(e.is_loop and e.colour != BLUE for e in g.edges):
         return False
-    return _graph_closed(g, QUASI_PROPAGATING)
+    return _graph_closed(g, PROJECTIVE_PROPAGATING)
 
 
 # ---------------------------------------------------------------------------
@@ -560,8 +549,11 @@ def rank(g: ColouredGraph) -> int:
 
 
 @cache
-def all_edge_slots(n: int) -> tuple[Edge, ...]:
-    """The n^2 + n possible bichromatic edges on n nodes, in a fixed order."""
+def all_edge_slots(n: int, palette: str = BICHROMATIC) -> tuple[Edge, ...]:
+    """The edges a graph of this palette on n nodes can hold, in slot order:
+    the n^2 + n bichromatic edges, then the n blue loops when trichromatic."""
+    if palette == TRICHROMATIC:
+        return all_edge_slots(n) + tuple(loop(k, BLUE) for k in range(1, n + 1))
     slots: list[Edge] = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -573,10 +565,13 @@ def all_edge_slots(n: int) -> tuple[Edge, ...]:
     return tuple(slots)
 
 
-def graph_from_slot_mask(n: int, mask: int) -> ColouredGraph:
-    """The bichromatic graph whose edges are the set bits of a slot mask."""
-    slots = all_edge_slots(n)
-    return ColouredGraph(n, frozenset(slots[b] for b in range(len(slots)) if mask >> b & 1))
+def graph_from_slot_mask(n: int, mask: int, palette: str = BICHROMATIC) -> ColouredGraph:
+    """The graph whose edges are the set bits of a slot mask; the inverse of
+    `slot_mask`."""
+    slots = all_edge_slots(n, palette)
+    return ColouredGraph(
+        n, frozenset(slots[b] for b in range(len(slots)) if mask >> b & 1), palette
+    )
 
 
 def all_bichromatic_graphs(n: int):
@@ -593,16 +588,6 @@ def _classical_component_menu(m: int) -> list[tuple[str, ColouredGraph]]:
 
 
 @cache
-def _palette_slots(n: int, palette: str) -> tuple[tuple[Edge, ...], dict[Edge, int]]:
-    """The edges a graph of this palette can hold, with each edge's slot:
-    all_edge_slots(n), then the n blue loops when trichromatic."""
-    slots = all_edge_slots(n)
-    if palette == TRICHROMATIC:
-        slots += tuple(loop(k, BLUE) for k in range(1, n + 1))
-    return slots, {e: b for b, e in enumerate(slots)}
-
-
-@cache
 def _generator_tables(n: int, palette: str) -> tuple[list[list[int]], ...]:
     """Slot maps of the n Coxeter generators of W(BC_n): the adjacent
     transpositions (k k+1) and the sign flip of node 1.
@@ -611,25 +596,24 @@ def _generator_tables(n: int, palette: str) -> tuple[list[list[int]], ...]:
     never from reflections, so the orbit route stays independent of the
     root route.
     """
-    slots, index = _palette_slots(n, palette)
     generators = [SignedPermutation.sign_flip(n, 1)] if n else []
     for k in range(n - 1):
         perm = list(range(n))
         perm[k], perm[k + 1] = k + 1, k
         generators.append(SignedPermutation(tuple(perm), (1,) * n))
-    tables = []
-    for w in generators:
-        images = []
-        for e in slots:
-            (image,) = weyl_act_graph(w, ColouredGraph(n, frozenset((e,)), palette)).edges
-            images.append(index[image])
-        tables.append(_mask_map_tables(images))
-    return tuple(tables)
+    nslots = len(all_edge_slots(n, palette))
+    return tuple(
+        _mask_map_tables(
+            [slot_mask(weyl_act_graph(w, graph_from_slot_mask(n, 1 << b, palette)))
+             for b in range(nslots)]
+        )
+        for w in generators
+    )
 
 
 def _weyl_orbit_masks(n: int, palette: str, mask: int) -> set[int]:
-    """The W(BC_n) orbit of a slot mask over `_palette_slots(n, palette)`,
-    closed under the generator maps with a worklist."""
+    """The W(BC_n) orbit of a slot mask of a graph of this palette, closed
+    under the generator maps with a worklist."""
     generators = _generator_tables(n, palette)
     seen = {mask}
     todo = [mask]
@@ -651,10 +635,9 @@ def orbit_canonical(g: ColouredGraph) -> tuple[str, ColouredGraph]:
     generators of W(BC_n) (`_weyl_orbit_masks`); only its distinct images
     are built and serialised, not all 2^n n! group elements.
     """
-    slots, index = _palette_slots(g.n, g.palette)
     images = (
-        ColouredGraph(g.n, frozenset(e for b, e in enumerate(slots) if mask >> b & 1), g.palette)
-        for mask in _weyl_orbit_masks(g.n, g.palette, _bits(index[e] for e in g.edges))
+        graph_from_slot_mask(g.n, mask, g.palette)
+        for mask in _weyl_orbit_masks(g.n, g.palette, slot_mask(g))
     )
     return min(((graph_to_json(h), h) for h in images), key=lambda pair: pair[0])
 

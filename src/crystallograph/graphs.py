@@ -345,7 +345,11 @@ def graph_from_json_obj(obj: dict) -> ColouredGraph:
 
 
 def graph_from_json(text: str) -> ColouredGraph:
-    return graph_from_json_obj(json.loads(text))
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise ValueError("graph JSON is nested too deeply") from None
+    return graph_from_json_obj(obj)
 
 
 def graph_to_dot(g: ColouredGraph) -> str:

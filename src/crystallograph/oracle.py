@@ -93,7 +93,7 @@ class LineTables:
         self.count = len(self.reps)
         self.full_mask = (1 << self.count) - 1
         self._perm_tables = [
-            _mask_map_tables([self.index[_canon_line(reflect(a, b))] for b in self.reps])
+            _mask_map_tables([1 << self.index[_canon_line(reflect(a, b))] for b in self.reps])
             for a in self.reps
         ]
 
@@ -306,11 +306,12 @@ def nested_pairs_exhaustive(n: int):
     if n > enumeration_limit(3):
         raise ValueError(f"n={n} exceeds the exhaustive pair limit {enumeration_limit(3)}")
     rules = closure_rules(n, CRYSTAL_PROPAGATING)
-    slot_of = {e: b for b, e in enumerate(all_edge_slots(n))}
     for g in enumerate_crystallographs(n, "all"):
         edge_list = g.sorted_edges()
         # subsets of g's edges, counted in sorted-edge order, as slot masks
-        to_slots = _mask_map_tables([slot_of[e] for e in edge_list])
+        to_slots = _mask_map_tables(
+            [slot_mask(ColouredGraph(n, frozenset((e,)))) for e in edge_list]
+        )
         for sub in range(1 << len(edge_list)):
             mask = _mask_map_apply(to_slots, sub)
             if not closed(mask, rules):
@@ -357,11 +358,11 @@ def bijection_sweep(n: int, samples: int | None = None, seed: int = RNG_DEFAULT_
     """
     tables = line_tables(n)
     slots = all_edge_slots(n)
-    # slot -> line index, transported through the correspondence one edge at a time
+    # slot -> line bit, transported through the correspondence one edge at a time
     slot_line = []
     for s in slots:
         pair = roots_from_graph(ColouredGraph(n, frozenset([s])))
-        slot_line.append(tables.index[_canon_line(min(pair))])
+        slot_line.append(1 << tables.index[_canon_line(min(pair))])
     nslots = len(slots)
     translate = _mask_map_tables(slot_line)
     full_rules = closure_rules(n, CRYSTAL_PROPAGATING)

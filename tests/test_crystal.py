@@ -9,8 +9,10 @@ from itertools import chain, combinations
 import pytest
 
 from crystallograph import classical, crystal, oracle
+from crystallograph.arrange import lift
 from crystallograph.crystal import (
     CRYSTAL_PROPAGATING,
+    PROJECTIVE_PROPAGATING,
     QUASI_PROPAGATING,
     Component,
     InconsistencyError,
@@ -33,6 +35,7 @@ from crystallograph.crystal import (
     slot_mask,
 )
 from crystallograph.graphs import (
+    BICHROMATIC,
     BLUE,
     GREEN,
     RED,
@@ -125,15 +128,15 @@ def test_is_projective_crystallograph_examples():
 def test_closure_rules_match_statement():
     """The Horn rules, rebuilt edge by edge from the two closure rules."""
     for n in range(7):
-        slots = all_edge_slots(n)
+        slots = all_edge_slots(n, TRICHROMATIC)
         bit = {e: 1 << b for b, e in enumerate(slots)}
-        for e in slots:
+        for e in all_edge_slots(n):
             assert slot_mask(graph(n, [e])) == bit[e]
         for k in range(1, n + 1):
-            assert slot_mask(graph(n, [loop(k, BLUE)], TRICHROMATIC)) == bit[loop(k, RED)]
+            assert slot_mask(graph(n, [loop(k, BLUE)], TRICHROMATIC)) == 1 << (n * n + n + k - 1)
         straights = [e for e in slots if not e.is_loop]
         loops = [e for e in slots if e.is_loop]
-        for propagating in (CRYSTAL_PROPAGATING, QUASI_PROPAGATING):
+        for propagating in (CRYSTAL_PROPAGATING, QUASI_PROPAGATING, PROJECTIVE_PROPAGATING):
             expected: list[set] = [set() for _ in slots]
 
             def implies(e, f, required):
@@ -180,11 +183,59 @@ def test_graph_rules_match_full_table():
             edges = sorted(g.edges, key=str)
             for drop in rng.sample(edges, min(5, len(edges))):
                 graphs.append(graph(n, [e for e in edges if e != drop]))
-        for propagating in (CRYSTAL_PROPAGATING, QUASI_PROPAGATING):
+        projective = [
+            classical.projective_graph_borc(n), classical.projective_graph_exotic_bd(2, n - 2)
+        ]
+        tri_slots = all_edge_slots(n, TRICHROMATIC)
+        for _ in range(60):
+            k = rng.randrange(len(tri_slots) + 1)
+            projective.append(graph(n, rng.sample(tri_slots, k), TRICHROMATIC))
+        for g in projective[:2]:
+            edges = sorted(g.edges, key=str)
+            for drop in rng.sample(edges, min(5, len(edges))):
+                projective.append(graph(n, [e for e in edges if e != drop], TRICHROMATIC))
+        for propagating, cases in (
+            (CRYSTAL_PROPAGATING, graphs),
+            (QUASI_PROPAGATING, graphs),
+            (PROJECTIVE_PROPAGATING, projective),
+        ):
             table = closure_rules(n, propagating)
-            for g in graphs:
+            for g in cases:
                 rules = crystal._GraphRules(g, propagating)
                 assert closed(rules.mask, rules) == closed(slot_mask(g), table)
+
+
+def test_slot_mask_is_lossless_on_both_palettes():
+    """Each graph of a palette gets its own mask, which decodes back to it."""
+    for n in range(3):
+        for graphs, nslots in (
+            (list(all_bichromatic_graphs(n)), n * n + n),
+            (list(_trichromatic_graphs(n)), n * n + 2 * n),
+        ):
+            masks = [slot_mask(g) for g in graphs]
+            assert len(graphs) == len(set(masks)) == 2**nslots
+            for g, mask in zip(graphs, masks):
+                assert graph_from_slot_mask(n, mask, g.palette) == g
+    rng = random.Random(7)
+    straights = [straight(i, j, c) for i, j in combinations((1, 2, 3), 2) for c in (RED, GREEN)]
+    for palette, colours in ((BICHROMATIC, (RED, GREEN)), (TRICHROMATIC, (RED, GREEN, BLUE))):
+        edges = straights + [loop(k, c) for k in (1, 2, 3) for c in colours]
+        for _ in range(500):
+            g = graph(3, rng.sample(edges, rng.randrange(len(edges) + 1)), palette)
+            assert graph_from_slot_mask(3, slot_mask(g), palette) == g
+
+
+def test_projective_predicate_matches_red_lift():
+    """Projective closure against its statement: every loop blue, and the
+    graph with its blue loops painted red a quasi-crystallograph."""
+    accepted = 0
+    for n in range(4):
+        for g in _trichromatic_graphs(n):
+            all_blue = all(e.colour == BLUE for e in g.edges if e.is_loop)
+            expected = all_blue and is_quasi_crystallograph(lift(g))
+            assert is_projective_crystallograph(g) == expected, graph_to_json(g)
+            accepted += expected
+    assert accepted > 0
 
 
 def test_predicates_scale_with_edges_not_nodes():

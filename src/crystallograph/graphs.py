@@ -15,7 +15,9 @@ hyperplane arrangement of type B_n/C_n:
     loop B {k} <-> Ker(a_k)
 
 Graphs are immutable values; equality is literal (same node count, same edge
-set).  The canonical JSON form and the DOT export are byte-deterministic.
+set).  The constructor freezes whatever edge iterable it is given, so every
+graph hashes and can key a cache.  The canonical JSON form and the DOT
+export are byte-deterministic.
 """
 
 from __future__ import annotations
@@ -80,6 +82,10 @@ class ColouredGraph:
     palette: str = BICHROMATIC
 
     def __post_init__(self) -> None:
+        if type(self.edges) is not frozenset:
+            # a graph is a value: it keeps no caller's mutable container, so
+            # it hashes, compares equal to its frozen twin and never changes
+            object.__setattr__(self, "edges", frozenset(self.edges))
         if self.n < 0:
             raise ValueError("node count must be >= 0")
         if self.palette not in (BICHROMATIC, TRICHROMATIC):

@@ -470,6 +470,11 @@ def kernel_failures(graphs) -> list[str]:
 _ARRANGEMENT_TAGS_OK = {"A", "D", "BorC", "ExoticBD", "Bipartite"}
 
 
+def _pair_label(g: ColouredGraph, gp: ColouredGraph) -> str:
+    """A nested pair in a failure message; built only when one is reported."""
+    return f"{graph_to_json(g)} / {graph_to_json(gp)}"
+
+
 def pair_failures(pairs) -> list[str]:
     """Quotient theorem, quasi-ness, compatibility, and arrangement tags."""
     from .arrange import classify_restricted_arrangement
@@ -477,23 +482,22 @@ def pair_failures(pairs) -> list[str]:
 
     failures = []
     for g, gp in pairs:
-        label = f"{graph_to_json(g)} / {graph_to_json(gp)}"
         if not verify_quotient_theorem(g, gp):
-            failures.append(f"quotient theorem fails: {label}")
+            failures.append(f"quotient theorem fails: {_pair_label(g, gp)}")
             continue
         q = quotient_graph(g, gp)
         if not is_quasi_crystallograph(q):
-            failures.append(f"quotient not quasi: {label}")
+            failures.append(f"quotient not quasi: {_pair_label(g, gp)}")
         if not verify_projectification_compatibility(g, gp):
-            failures.append(f"projectification incompatible: {label}")
+            failures.append(f"projectification incompatible: {_pair_label(g, gp)}")
         report = classify_restricted_arrangement(g, gp)
         for comp in report.components:
             if comp.type not in _ARRANGEMENT_TAGS_OK:
-                failures.append(f"unexpected arrangement tag {comp.type}: {label}")
+                failures.append(f"unexpected arrangement tag {comp.type}: {_pair_label(g, gp)}")
             if comp.type == "ExoticBD":
                 r, s = comp.params
                 if not 0 < r < r + s:
-                    failures.append(f"degenerate ExoticBD{comp.params}: {label}")
+                    failures.append(f"degenerate ExoticBD{comp.params}: {_pair_label(g, gp)}")
     return failures
 
 

@@ -225,6 +225,27 @@ def test_slot_mask_is_lossless_on_both_palettes():
             assert graph_from_slot_mask(3, slot_mask(g), palette) == g
 
 
+def test_graph_from_slot_mask_rejects_masks_that_do_not_fit():
+    for n in range(4):
+        for palette, nslots in ((BICHROMATIC, n * n + n), (TRICHROMATIC, n * n + 2 * n)):
+            full = (1 << nslots) - 1
+            assert len(graph_from_slot_mask(n, full, palette).edges) == nslots
+            for bad in (-1, -full - 1, 1 << nslots, full | 1 << 40):
+                with pytest.raises(ValueError):
+                    graph_from_slot_mask(n, bad, palette)
+    with pytest.raises(ValueError):
+        graph_from_slot_mask(2, 1 << 40)
+    with pytest.raises(ValueError):
+        graph_from_slot_mask(2, -1)
+    # a trichromatic mask with a blue loop does not decode as bichromatic
+    blue = graph(2, [straight(1, 2, GREEN), loop(1, BLUE)], TRICHROMATIC)
+    mask = slot_mask(blue)
+    assert mask >> 6 == 1
+    assert graph_from_slot_mask(2, mask, TRICHROMATIC) == blue
+    with pytest.raises(ValueError):
+        graph_from_slot_mask(2, mask)
+
+
 def test_projective_predicate_matches_red_lift():
     """Projective closure against its statement: every loop blue, and the
     graph with its blue loops painted red a quasi-crystallograph."""
@@ -583,3 +604,58 @@ def test_enumerate_up_to_weyl_n5():
     assert len(reps) == 316 == oracle.count_weyl_orbits(5)
     assert all(is_crystallograph(g) for g in reps)
     assert len({orbit_canonical(g)[0] for g in reps}) == 316
+
+
+# ---------------------------------------------------------------------------
+# the graph-level memos
+
+
+def _memo_cases():
+    """Every bichromatic graph with n <= 3 and every quasi-crystallograph at
+    n = 4, each with an equal graph built from a fresh edge set."""
+    cases = [g for n in range(4) for g in all_bichromatic_graphs(n)]
+    cases += enumerate_crystallographs(4, "quasi")
+    return [(g, ColouredGraph(g.n, set(g.edges))) for g in cases]
+
+
+def test_memoised_answers_equal_direct_ones():
+    closed_direct = crystal._graph_closed.__wrapped__
+    classify_direct = classify_components.__wrapped__
+    quasi = 0
+    for g, twin in _memo_cases():
+        for propagating in (CRYSTAL_PROPAGATING, QUASI_PROPAGATING):
+            expected = closed_direct(g, propagating)
+            assert crystal._graph_closed(g, propagating) == expected, graph_to_json(g)
+            assert crystal._graph_closed(twin, propagating) == expected, graph_to_json(g)
+        if closed_direct(g, QUASI_PROPAGATING):
+            quasi += 1
+            expected = classify_direct(g)
+            assert classify_components(g) == expected, graph_to_json(g)
+            assert classify_components(twin) == expected, graph_to_json(g)
+    assert quasi == sum(oracle.count_quasi_crystallographs(n) for n in range(5))
+    for n in range(3):
+        for g in _trichromatic_graphs(n):
+            expected = closed_direct(g, PROJECTIVE_PROPAGATING)
+            assert crystal._graph_closed(g, PROJECTIVE_PROPAGATING) == expected, graph_to_json(g)
+
+
+def test_equal_graphs_share_memo_entries():
+    g = classical.graph_bc(3)
+    twin = graph(3, list(g.edges))
+    assert twin is not g
+    for memo, rest in ((classify_components, ()), (crystal._graph_closed, (CRYSTAL_PROPAGATING,))):
+        memo.cache_clear()
+        first = memo(g, *rest)
+        assert memo(twin, *rest) is first
+        info = memo.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
+
+def test_classify_raises_on_every_call_for_non_quasi():
+    path = graph(3, [straight(1, 2, RED), straight(2, 3, RED)])
+    classify_components.cache_clear()
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            classify_components(path)
+    info = classify_components.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 3, 0)

@@ -59,6 +59,22 @@ def test_graph_validation():
     graph(2, [loop(1, BLUE)], TRICHROMATIC)
 
 
+def test_graph_freezes_its_edges():
+    e = straight(1, 2, RED)
+    frozen = ColouredGraph(2, frozenset([e]))
+    from_list = ColouredGraph(2, [e])
+    assert type(from_list.edges) is frozenset
+    assert from_list == frozen
+    assert hash(from_list) == hash(frozen)
+    assert len({from_list, frozen}) == 1
+    # mutating the caller's set afterwards leaves the graph as it was built
+    source = {e}
+    from_set = ColouredGraph(2, source)
+    source.add(loop(1, RED))
+    assert from_set.edges == frozenset([e])
+    assert from_set == frozen
+
+
 def test_roots_from_graph_examples():
     a3 = classical.graph_a(4)
     phi = roots_from_graph(a3)

@@ -205,6 +205,38 @@ def test_nested_pairs_exhaustive_matches_subgraph_scan():
     assert list(oracle.nested_pairs_exhaustive(3)) == expected
 
 
+def test_pair_failures_classifies_each_subgraph_once(exhaustive_pairs):
+    # the five quotient routes of a pair ask for gp's report; the memo
+    # computes it once
+    classify_components.cache_clear()
+    assert oracle.pair_failures(exhaustive_pairs) == []
+    info = classify_components.cache_info()
+    assert info.misses <= len(exhaustive_pairs)
+    assert info.hits + info.misses == 5 * len(exhaustive_pairs)
+
+
+def test_pair_failures_labels_only_failing_pairs(monkeypatch):
+    pairs = list(oracle.nested_pairs_exhaustive(2))[:3]
+    serialised = []
+
+    def counting_to_json(g):
+        serialised.append(g)
+        return graph_to_json(g)
+
+    monkeypatch.setattr(oracle, "graph_to_json", counting_to_json)
+    assert oracle.pair_failures(pairs) == []
+    assert serialised == []
+    # force one failing pair: its message text is the pair's two graphs
+    g, gp = pairs[0]
+    monkeypatch.setattr(
+        oracle, "verify_quotient_theorem", lambda a, b: (a, b) != (g, gp)
+    )
+    assert oracle.pair_failures(pairs) == [
+        f"quotient theorem fails: {graph_to_json(g)} / {graph_to_json(gp)}"
+    ]
+    assert serialised == [g, gp]
+
+
 def test_bijection_sampled_n5_n6():
     # graph predicate vs reflection-closure oracle on random graphs beyond
     # the exhaustive range

@@ -33,7 +33,6 @@ from .crystal import (
     Component,
     ComponentReport,
     InconsistencyError,
-    WeylWord,
     bipartite_normalize,
     classify_components,
     classify_projective_components,

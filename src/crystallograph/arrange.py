@@ -82,7 +82,6 @@ def arrangements_equivalent(
     arrangement_a: frozenset[Hyperplane],
     arrangement_b: frozenset[Hyperplane],
     n: int,
-    limit: int = 4,
 ) -> SignedPermutation | None:
     """A signed permutation carrying one arrangement onto the other, if any.
 
@@ -91,15 +90,15 @@ def arrangements_equivalent(
     carries Ker(v) to Ker(w(v)), so this is `weyl_equivalent` on the +-
     normals, which must be root lines of B_n.
     """
-    if n > enumeration_limit(limit):
-        raise ValueError(f"n={n} exceeds the search limit {enumeration_limit(limit)}")
+    if n > enumeration_limit(4):
+        raise ValueError(f"n={n} exceeds the search limit {enumeration_limit(4)}")
     if len(arrangement_a) != len(arrangement_b):
         return None
     if any(len(h.normal) != n for h in arrangement_a | arrangement_b):
         raise ValueError(f"hyperplane normals must live in Q^{n}")
     if not arrangement_a:
         return SignedPermutation.identity(n)
-    return weyl_equivalent(_normal_lines(arrangement_a), _normal_lines(arrangement_b), limit)
+    return weyl_equivalent(_normal_lines(arrangement_a), _normal_lines(arrangement_b), 4)
 
 
 def _normal_lines(arrangement: frozenset[Hyperplane]) -> frozenset[tuple[int, ...]]:

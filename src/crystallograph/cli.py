@@ -26,8 +26,8 @@ from .graphs import (
     parse_roots_text,
     roots_from_graph,
     roots_to_text,
+    weyl_act_graph,
 )
-from .rootsys import weyl_apply
 
 
 class CliError(Exception):
@@ -58,11 +58,11 @@ def _load_graph(path: str, roots_mode: bool = False, nodes: int | None = None) -
 
 
 def _normalized_pair(g: ColouredGraph, gp: ColouredGraph):
-    gstar, word = crystal.bipartite_normalize(gp)
-    if word.word:
-        flipped = sorted(alpha.index(1) + 1 for alpha in word.word)
+    gstar, w = crystal.bipartite_normalize(gp)
+    flipped = [k for k, sign in enumerate(w.signs, start=1) if sign == -1]
+    if flipped:
         print(f"normalized: sign flips applied at nodes {flipped}", file=sys.stderr)
-        g = graph_from_roots(weyl_apply(word.element, roots_from_graph(g)), g.n)
+        g = weyl_act_graph(w, g)
     return g, gstar
 
 

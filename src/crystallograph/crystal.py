@@ -83,7 +83,6 @@ from .graphs import (
     connected_components,
     disjoint_union,
     empty_graph,
-    graph_from_roots,
     graph_to_json,
     linked_parts,
     loop,
@@ -91,13 +90,7 @@ from .graphs import (
     straight,
     weyl_act_graph,
 )
-from .rootsys import (
-    Root,
-    SignedPermutation,
-    enumeration_limit,
-    reflection_permutation,
-    weyl_apply,
-)
+from .rootsys import SignedPermutation, enumeration_limit
 
 
 class InconsistencyError(RuntimeError):
@@ -519,43 +512,23 @@ def red_components(g: ColouredGraph) -> list[tuple[int, ...]]:
 # Weyl normalisation of bipartite components
 
 
-@dataclass(frozen=True)
-class WeylWord:
-    """An ordered word of generator reflections together with its product."""
-
-    word: tuple[Root, ...]
-    element: SignedPermutation
-
-    @classmethod
-    def from_word(cls, word: tuple[Root, ...], n: int) -> WeylWord:
-        element = SignedPermutation.identity(n)
-        for alpha in word:
-            element = element.compose(reflection_permutation(alpha))
-        return cls(tuple(word), element)
-
-
-def bipartite_normalize(g: ColouredGraph) -> tuple[ColouredGraph, WeylWord]:
+def bipartite_normalize(g: ColouredGraph) -> tuple[ColouredGraph, SignedPermutation]:
     """Sign-flip every bipartite component onto its complete red equivalent.
 
-    Flipping all nodes of the smaller part turns the green cross edges red
-    while every edge inside a part is flipped twice or never; the word lists
-    the flips by increasing node index.  Non-bipartite components are
-    untouched.
+    Returns (w(g), w), where w is the signed permutation with the identity
+    permutation and sign -1 at every node of the smaller part of each
+    bipartite component.  Those flips turn the green cross edges red, while
+    every edge inside a part is flipped twice or never; non-bipartite
+    components are untouched.
     """
     if not is_crystallograph(g):
         raise ValueError("bipartite_normalize needs a crystallograph")
-    report = classify_components(g)
-    flips: list[int] = []
-    for comp in report.by_type("Bipartite"):
-        flips.extend(comp.detail[0])
-    word = []
-    for node in sorted(flips):
-        alpha = [0] * g.n
-        alpha[node - 1] = 1
-        word.append(tuple(alpha))
-    ww = WeylWord.from_word(tuple(word), g.n)
-    gstar = graph_from_roots(weyl_apply(ww.element, roots_from_graph(g)), g.n)
-    return gstar, ww
+    signs = [1] * g.n
+    for comp in classify_components(g).by_type("Bipartite"):
+        for node in comp.detail[0]:
+            signs[node - 1] = -1
+    w = SignedPermutation(tuple(range(g.n)), tuple(signs))
+    return weyl_act_graph(w, g), w
 
 
 def rank(g: ColouredGraph) -> int:

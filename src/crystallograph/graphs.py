@@ -282,7 +282,7 @@ def weyl_act_graph(w: SignedPermutation, g: ColouredGraph) -> ColouredGraph:
     colour: sigma_i fixes e_j for j != i and negates e_i, 2e_i in place.
     """
     if w.n != g.n:
-        raise ValueError("dimension mismatch")
+        raise ValueError(f"dimension mismatch: {g.n} vs {w.n}")
     edges: set[Edge] = set()
     for e in g.edges:
         if e.is_loop:

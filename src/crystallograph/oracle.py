@@ -22,7 +22,7 @@ from math import comb
 from operator import mul
 
 from . import linalg
-from .arrange import verify_projectification_compatibility
+from .arrange import classify_restricted_arrangement, verify_projectification_compatibility
 from .crystal import (
     CRYSTAL_PROPAGATING,
     QUASI_PROPAGATING,
@@ -52,7 +52,12 @@ from .graphs import (
     roots_from_graph,
     weyl_act_graph,
 )
-from .quotient import kernel_basis, orthogonal_projection, verify_quotient_theorem
+from .quotient import (
+    kernel_basis,
+    orthogonal_projection,
+    quotient_graph,
+    verify_quotient_theorem,
+)
 from .rootsys import (
     Root,
     RootSet,
@@ -176,14 +181,14 @@ def enumerate_subsystems_bruteforce(n: int):
 # Weyl orbits
 
 
-def orbit_decomposition(items, n: int, limit: int = 6):
+def orbit_decomposition(items, n: int):
     """Partition graphs into Weyl orbits; lex-minimal serialisations represent.
 
     Returns [(representative_graph, orbit_item_count)] sorted by
     representative.
     """
-    if n > enumeration_limit(limit):
-        raise ValueError(f"n={n} exceeds the orbit limit {enumeration_limit(limit)}")
+    if n > enumeration_limit(6):
+        raise ValueError(f"n={n} exceeds the orbit limit {enumeration_limit(6)}")
     buckets: dict[str, list] = {}
     for g in items:
         if g.n != n:
@@ -295,9 +300,8 @@ def random_nested_pair(
     sub = g_mask & rng.getrandbits(tables.count)
     gp = graph_from_roots(tables.mask_to_roots(tables.closure(sub)), n)
     if classify_components(gp).has_bipartite():
-        _, word = bipartite_normalize(gp)
-        g = graph_from_roots(weyl_apply(word.element, roots_from_graph(g)), n)
-        gp = graph_from_roots(weyl_apply(word.element, roots_from_graph(gp)), n)
+        gp, w = bipartite_normalize(gp)
+        g = weyl_act_graph(w, g)
     return g, gp
 
 
@@ -431,7 +435,7 @@ def classification_failures(graphs) -> list[str]:
         except (InconsistencyError, ValueError) as exc:
             failures.append(f"classification failed: {graph_to_json(g)}: {exc}")
             continue
-        rebuilt = frozenset().union(*(model_edges(c) for c in report.components)) if report.components else frozenset()
+        rebuilt = frozenset().union(*(model_edges(c) for c in report.components))
         if rebuilt != g.edges:
             failures.append(f"model reconstruction mismatch: {graph_to_json(g)}")
     return failures
@@ -477,9 +481,6 @@ def _pair_label(g: ColouredGraph, gp: ColouredGraph) -> str:
 
 def pair_failures(pairs) -> list[str]:
     """Quotient theorem, quasi-ness, compatibility, and arrangement tags."""
-    from .arrange import classify_restricted_arrangement
-    from .quotient import quotient_graph
-
     failures = []
     for g, gp in pairs:
         if not verify_quotient_theorem(g, gp):
@@ -516,9 +517,9 @@ def weyl_commutation_failures(n: int, samples: int, seed: int) -> list[str]:
     return failures
 
 
-def cardinality_failures(limit: int = 6) -> list[str]:
+def cardinality_failures() -> list[str]:
     failures = []
-    for n in range(1, limit + 1):
+    for n in range(1, 7):
         expected = {
             "A": n * (n - 1),
             "D": 2 * n * (n - 1),

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 Root = tuple[int, ...]
@@ -183,43 +183,8 @@ class SignedPermutation:
             out[self.perm[i]] = self.signs[i] * c
         return tuple(out)
 
-    def compose(self, other: SignedPermutation) -> SignedPermutation:
-        """self after other: (self * other).apply(v) == self.apply(other.apply(v))."""
-        if self.n != other.n:
-            raise ValueError("size mismatch")
-        perm = tuple(self.perm[other.perm[i]] for i in range(self.n))
-        signs = tuple(other.signs[i] * self.signs[other.perm[i]] for i in range(self.n))
-        return SignedPermutation(perm, signs)
 
-    def inverse(self) -> SignedPermutation:
-        perm = [0] * self.n
-        signs = [1] * self.n
-        for i in range(self.n):
-            perm[self.perm[i]] = i
-            signs[self.perm[i]] = self.signs[i]
-        return SignedPermutation(tuple(perm), tuple(signs))
-
-
-def reflection_permutation(alpha: Root) -> SignedPermutation:
-    """The reflection sigma_alpha as a signed permutation (alpha in BC_n)."""
-    validate_root(alpha)
-    n = len(alpha)
-    support = [(i, c) for i, c in enumerate(alpha) if c != 0]
-    if len(support) == 1:
-        i = support[0][0]
-        signs = [1] * n
-        signs[i] = -1
-        return SignedPermutation(tuple(range(n)), tuple(signs))
-    (i, ci), (j, cj) = support
-    perm = list(range(n))
-    perm[i], perm[j] = j, i
-    signs = [1] * n
-    if ci * cj > 0:
-        signs[i] = signs[j] = -1
-    return SignedPermutation(tuple(perm), tuple(signs))
-
-
-def weyl_group(n: int) -> "itertools.product":
+def weyl_group(n: int) -> Iterator[SignedPermutation]:
     """Iterate over all 2^n * n! signed permutations, deterministic order."""
     for perm in itertools.permutations(range(n)):
         for signs in itertools.product((1, -1), repeat=n):

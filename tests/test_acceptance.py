@@ -89,9 +89,10 @@ def test_criterion_03_bipartite_lemma():
     for d1 in range(1, 5):
         for d2 in range(d1, 5):
             g = classical.graph_bipartite(d1, d2)
-            gstar, word = bipartite_normalize(g)
+            gstar, w = bipartite_normalize(g)
+            assert w.signs == (-1,) * d1 + (1,) * d2
             target = roots_from_graph(classical.graph_a(d1 + d2))
-            assert weyl_apply(word.element, roots_from_graph(g)) == target
+            assert weyl_apply(w, roots_from_graph(g)) == target
             assert gstar == classical.graph_a(d1 + d2)
             assert rank(g) == d1 + d2 - 1
             basis = nullspace_basis(sorted(roots_from_graph(g)), d1 + d2)

@@ -13,6 +13,8 @@ from crystallograph import classical
 from crystallograph.cli import main
 from crystallograph.graphs import (
     RED,
+    disjoint_union,
+    empty_graph,
     graph,
     graph_from_json,
     graph_to_json,
@@ -206,6 +208,33 @@ def test_quotient_normalize_flag(capsys, tmp_path):
     assert "sign flips" in err
     obj = json.loads(out)
     assert obj["nodes"] == 1 and obj["edges"] == []
+
+
+def test_normalize_names_flipped_nodes_and_moves_both_graphs(capsys, tmp_path):
+    def write(name, g):
+        path = tmp_path / name
+        path.write_text(graph_to_json(g))
+        return str(path)
+
+    b23 = write("b23.json", classical.graph_bipartite(2, 3))
+    code, _, err = run(capsys, "quotient", b23, b23, "--normalize")
+    assert code == 0
+    assert err == "normalized: sign flips applied at nodes [1, 2]\n"
+    bc4 = write("bc4.json", classical.graph_bc(4))
+    code, _, err = run(capsys, "quotient", bc4, b23, "--normalize")
+    assert code == 1 and err.endswith("\nerror: dimension mismatch: 4 vs 5\n")
+
+    # g = Bipartite({1,2},{3..6}) contains gp = Bipartite({1,2},{3,4,5}) + {6};
+    # flipping nodes 1 and 2 carries g to A_5 and gp to A_4 + A_0.
+    g = write("g.json", classical.graph_bipartite(2, 4))
+    gp = write("gp.json", disjoint_union(classical.graph_bipartite(2, 3), empty_graph(1)))
+    code, normalized, err = run(capsys, "restrict", g, gp, "--normalize")
+    assert code == 0
+    assert err == "normalized: sign flips applied at nodes [1, 2]\n"
+    a5 = write("a5.json", classical.graph_a(6))
+    a4 = write("a4.json", disjoint_union(classical.graph_a(5), empty_graph(1)))
+    assert run(capsys, "restrict", a5, a4) == (0, normalized, "")
+    assert json.loads(normalized)["covectors"]
 
 
 def test_verify_command(capsys):

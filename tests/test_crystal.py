@@ -54,7 +54,7 @@ from crystallograph.graphs import (
     weyl_act_graph,
 )
 from crystallograph.linalg import nullspace_basis
-from crystallograph.rootsys import roots_a, weyl_apply, weyl_group
+from crystallograph.rootsys import SignedPermutation, roots_a, weyl_apply, weyl_group
 
 
 def test_is_crystallograph_classical_graphs():
@@ -456,25 +456,34 @@ def test_red_components_examples():
 
 def test_bipartite_normalize_examples():
     g34 = classical.graph_bipartite(3, 4)
-    gstar, word = bipartite_normalize(g34)
+    gstar, w = bipartite_normalize(g34)
     assert gstar == classical.graph_a(7)
-    assert [alpha.index(1) + 1 for alpha in word.word] == [1, 2, 3]
+    assert w == SignedPermutation(tuple(range(7)), (-1, -1, -1, 1, 1, 1, 1))
 
-    unchanged, word = bipartite_normalize(classical.graph_a(4))
-    assert unchanged == classical.graph_a(4) and word.word == ()
+    unchanged, w = bipartite_normalize(classical.graph_a(4))
+    assert unchanged == classical.graph_a(4) and w == SignedPermutation.identity(4)
 
     g11 = classical.graph_bipartite(1, 1)
-    gstar, word = bipartite_normalize(g11)
+    gstar, w = bipartite_normalize(g11)
     assert gstar == classical.graph_a(2)
-    assert len(word.word) == 1 and word.word[0] == (1, 0)
+    assert w == SignedPermutation.sign_flip(2, 1)
 
 
 def test_bipartite_normalize_is_weyl_image():
+    """Graph action against root action: every bipartite crystallograph with
+    n <= 4, and 50 seeded crystallographs on 5 nodes."""
+    bipartite = [
+        g
+        for n in range(1, 5)
+        for g in enumerate_crystallographs(n, "all")
+        if classify_components(g).has_bipartite()
+    ]
+    assert len(bipartite) == 200
     rng = random.Random(31)
-    for _ in range(50):
-        g = oracle.random_crystallograph(5, rng)
-        gstar, word = bipartite_normalize(g)
-        assert roots_from_graph(gstar) == weyl_apply(word.element, roots_from_graph(g))
+    for g in bipartite + [oracle.random_crystallograph(5, rng) for _ in range(50)]:
+        gstar, w = bipartite_normalize(g)
+        assert w.perm == tuple(range(g.n))
+        assert roots_from_graph(gstar) == weyl_apply(w, roots_from_graph(g))
         assert not classify_components(gstar).has_bipartite()
 
 
@@ -482,9 +491,9 @@ def test_bipartite_normalize_all_d1_d2_up_to_4():
     for d1 in range(1, 5):
         for d2 in range(d1, 5):
             g = classical.graph_bipartite(d1, d2)
-            gstar, word = bipartite_normalize(g)
+            gstar, w = bipartite_normalize(g)
             assert gstar == classical.graph_a(d1 + d2)
-            assert len(word.word) == d1
+            assert w.signs == (-1,) * d1 + (1,) * d2
 
 
 def test_rank_examples():

@@ -14,7 +14,6 @@ from crystallograph.rootsys import (
     is_symmetric,
     reflect,
     reflection_closure,
-    reflection_permutation,
     roots_a,
     roots_b,
     roots_bc,
@@ -148,22 +147,12 @@ def test_cardinalities_up_to_6():
 
 
 def test_signed_permutation_group_laws():
-    rng = random.Random(11)
     group = list(weyl_group(3))
-    assert len(group) == 48
-    for _ in range(100):
-        u, v = rng.choice(group), rng.choice(group)
-        w = u.compose(v)
-        vec = tuple(rng.randint(-2, 2) for _ in range(3))
-        assert w.apply(vec) == u.apply(v.apply(vec))
-        assert u.compose(u.inverse()) == SignedPermutation.identity(3)
-
-
-def test_reflection_permutation_matches_reflect():
-    for alpha in roots_bc(3):
-        w = reflection_permutation(alpha)
-        for beta in roots_bc(3):
-            assert w.apply(beta) == reflect(alpha, beta)
+    assert len(group) == len(set(group)) == 48
+    for w in group:
+        for k in range(3):
+            e_k = tuple(int(i == k) for i in range(3))
+            assert w.apply(e_k) == tuple(w.signs[k] * int(i == w.perm[k]) for i in range(3))
 
 
 def test_weyl_apply_examples():

@@ -41,7 +41,6 @@ from .crystal import (
     is_projective_crystallograph,
     is_quasi_crystallograph,
     rank,
-    red_components,
 )
 from .graphs import (
     BICHROMATIC,

@@ -5,12 +5,20 @@ uses the canonical JSON forms, so anything emitted re-parses through the
 matching input path.  Exit status: 0 on success, 1 on a domain failure
 (bad input data, failed precondition, verification counterexample), 2 on a
 usage error.
+
+The commands are bare library calls.  `main` is the one place that turns an
+exception into an exit status: every input failure is a `ValueError`
+(`_read_file` and `_load_graph` prefix theirs with the path) and prints one
+`error:` line; an `InconsistencyError` means the classification theorem
+itself failed and prints `internal inconsistency:`; an unwritable stdout
+prints `error:`, except a closed pipe, which ends silently.  All exit 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import arrange, crystal, oracle, quotient
@@ -30,16 +38,12 @@ from .graphs import (
 )
 
 
-class CliError(Exception):
-    """Domain failure surfaced to the user with exit status 1."""
-
-
 def _read_file(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise CliError(f"cannot read {path}: {exc}") from None
+        raise ValueError(f"cannot read {path}: {exc}") from None
 
 
 def _load_graph(path: str, roots_mode: bool = False, nodes: int | None = None) -> ColouredGraph:
@@ -54,7 +58,7 @@ def _load_graph(path: str, roots_mode: bool = False, nodes: int | None = None) -
             return graph_from_roots(phi, nodes)
         return graph_from_json(text)
     except ValueError as exc:
-        raise CliError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _normalized_pair(g: ColouredGraph, gp: ColouredGraph):
@@ -89,13 +93,10 @@ def _cmd_check(args) -> int:
 
 def _cmd_classify(args) -> int:
     g = _load_graph(args.graph, args.roots, args.nodes)
-    try:
-        if g.palette == BICHROMATIC:
-            report = crystal.classify_components(g)
-        else:
-            report = crystal.classify_projective_components(g)
-    except (ValueError, InconsistencyError) as exc:
-        raise CliError(str(exc)) from None
+    if g.palette == BICHROMATIC:
+        report = crystal.classify_components(g)
+    else:
+        report = crystal.classify_projective_components(g)
     if args.format == "text":
         for comp in report.components:
             params = ",".join(str(p) for p in comp.params)
@@ -106,12 +107,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_to_roots(args) -> int:
-    g = _load_graph(args.graph)
-    try:
-        phi = roots_from_graph(g)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    sys.stdout.write(roots_to_text(phi))
+    sys.stdout.write(roots_to_text(roots_from_graph(_load_graph(args.graph))))
     return 0
 
 
@@ -122,13 +118,8 @@ def _cmd_from_roots(args) -> int:
 
 def _cmd_kernel(args) -> int:
     g = _load_graph(args.graph, args.roots, args.nodes)
-    try:
-        basis = quotient.kernel_basis(g)
-        proj = quotient.orthogonal_projection(g)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    obj = basis.to_json_obj()
-    obj["projection"] = [[str(x) for x in row] for row in proj]
+    obj = quotient.kernel_basis(g).to_json_obj()
+    obj["projection"] = [[str(x) for x in row] for row in quotient.orthogonal_projection(g)]
     print(json.dumps(obj, separators=(",", ":")))
     return 0
 
@@ -136,64 +127,48 @@ def _cmd_kernel(args) -> int:
 def _cmd_quotient(args) -> int:
     g = _load_graph(args.graph)
     gp = _load_graph(args.subgraph)
-    try:
-        if args.normalize:
-            g, gp = _normalized_pair(g, gp)
-        q = quotient.quotient_graph(g, gp)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    print(graph_to_json(q))
-    if args.verify:
-        if not quotient.verify_quotient_theorem(g, gp):
-            restricted = quotient.restricted_system(g, gp)
-            print(
-                "verification failed: quotient graph does not match the "
-                f"restricted system {restricted.to_json()}",
-                file=sys.stderr,
-            )
-            return 1
+    if args.normalize:
+        g, gp = _normalized_pair(g, gp)
+    print(graph_to_json(quotient.quotient_graph(g, gp)))
+    if args.verify and not quotient.verify_quotient_theorem(g, gp):
+        restricted = quotient.restricted_system(g, gp)
+        print(
+            "verification failed: quotient graph does not match the "
+            f"restricted system {restricted.to_json()}",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 
 def _cmd_restrict(args) -> int:
     g = _load_graph(args.graph)
     gp = _load_graph(args.subgraph)
-    try:
-        if args.normalize:
-            g, gp = _normalized_pair(g, gp)
-        restricted = quotient.restricted_system(g, gp)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    print(restricted.to_json())
+    if args.normalize:
+        g, gp = _normalized_pair(g, gp)
+    print(quotient.restricted_system(g, gp).to_json())
     return 0
 
 
 def _cmd_projectify(args) -> int:
-    g = _load_graph(args.graph, args.roots, args.nodes)
-    try:
-        print(graph_to_json(arrange.projectify(g)))
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    print(graph_to_json(arrange.projectify(_load_graph(args.graph, args.roots, args.nodes))))
     return 0
 
 
 def _cmd_arrangement(args) -> int:
     g = _load_graph(args.graph)
-    try:
-        if args.subgraph is not None:
-            gp = _load_graph(args.subgraph)
-            if g.palette == BICHROMATIC:
-                projectified = arrange.projectify(quotient.quotient_graph(g, gp))
-            else:
-                projectified = arrange.quotient_projective(g, gp)
-        elif g.palette == BICHROMATIC:
-            projectified = arrange.projectify(g)
+    if args.subgraph is not None:
+        gp = _load_graph(args.subgraph)
+        if g.palette == BICHROMATIC:
+            projectified = arrange.projectify(quotient.quotient_graph(g, gp))
         else:
-            projectified = g
-        hyperplanes = arrangement_from_graph(projectified)
-        report = crystal.classify_projective_components(projectified)
-    except (ValueError, InconsistencyError) as exc:
-        raise CliError(str(exc)) from None
+            projectified = arrange.quotient_projective(g, gp)
+    elif g.palette == BICHROMATIC:
+        projectified = arrange.projectify(g)
+    else:
+        projectified = g
+    hyperplanes = arrangement_from_graph(projectified)
+    report = crystal.classify_projective_components(projectified)
     obj = {
         "hyperplanes": sorted(list(h.normal) for h in hyperplanes),
         "components": report.to_json_obj()["components"],
@@ -208,23 +183,17 @@ def _cmd_enumerate(args) -> int:
         mode = "quasi"
     if args.up_to_weyl:
         mode = "up_to_weyl"
-    try:
-        stream = crystal.enumerate_crystallographs(args.nodes, mode)
-        if args.count_only:
-            print(sum(1 for _ in stream))
-        else:
-            for g in stream:
-                print(graph_to_json(g))
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    stream = crystal.enumerate_crystallographs(args.nodes, mode)
+    if args.count_only:
+        print(sum(1 for _ in stream))
+    else:
+        for g in stream:
+            print(graph_to_json(g))
     return 0
 
 
 def _cmd_verify(args) -> int:
-    try:
-        summary, failures = oracle.verify_all(args.nodes, samples=args.samples, seed=args.seed)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    summary, failures = oracle.verify_all(args.nodes, samples=args.samples, seed=args.seed)
     print(
         f"n={summary.n}: {summary.crystallographs} crystallographs, "
         f"{summary.quasi_crystallographs} quasi, {summary.orbits} orbits, "
@@ -325,16 +294,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except CliError as exc:
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
     except InconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
-        return 1
+    except OSError as exc:
+        # The output is unwritable; point fd 1 at devnull so the flush at
+        # interpreter exit does not fail a second time.  A closed pipe is the
+        # reader's choice (`| head`), so it ends quietly.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: {exc}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -502,12 +502,6 @@ def classify_projective_components(g: ColouredGraph) -> ComponentReport:
     return ComponentReport(tuple(out))
 
 
-def red_components(g: ColouredGraph) -> list[tuple[int, ...]]:
-    """Node sets of the type-A components (singletons included), by least node."""
-    report = classify_components(g)
-    return [c.nodes for c in report.components if c.type == "A"]
-
-
 # ---------------------------------------------------------------------------
 # Weyl normalisation of bipartite components
 

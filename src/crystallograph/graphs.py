@@ -112,10 +112,6 @@ def graph(n: int, edges, palette: str = BICHROMATIC) -> ColouredGraph:
     return ColouredGraph(n, frozenset(edges), palette)
 
 
-def flip_colour(colour: str) -> str:
-    return _COLOUR_FLIP[colour]
-
-
 # ---------------------------------------------------------------------------
 # main correspondence: bichromatic graphs <-> symmetric subsets of BC_n
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import comb
 from operator import mul
 
@@ -339,16 +339,6 @@ class EnumerationSummary:
     orbits: int
     runtime: float
 
-    def to_json_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "total_graphs": self.total_graphs,
-            "crystallographs": self.crystallographs,
-            "quasi_crystallographs": self.quasi_crystallographs,
-            "orbits": self.orbits,
-            "runtime": self.runtime,
-        }
-
 
 def bijection_sweep(n: int, samples: int | None = None, seed: int = RNG_DEFAULT_SEED):
     """Compare the graph closure rules with the reflection-closure mask oracle.
@@ -574,17 +564,15 @@ def verify_all(
                 f"quasi count {quasi_count} != closed form {count_quasi_crystallographs(n)}"
             )
         failures += weyl_orbit_failures(n, crystallographs)
-        failures += classification_failures(crystallographs)
-        failures += kernel_failures(crystallographs)
     else:
         _, _, _, f = bijection_sweep(n, samples=samples, seed=seed)
         failures += f
         rng = random.Random(seed + 1)
-        constructed = [random_crystallograph(n, rng) for _ in range(min(samples, 2000))]
-        failures += classification_failures(constructed)
-        failures += kernel_failures(constructed)
+        crystallographs = [random_crystallograph(n, rng) for _ in range(min(samples, 2000))]
         crystallograph_count = count_crystallographs(n)
         quasi_count = count_quasi_crystallographs(n)
+    failures += classification_failures(crystallographs)
+    failures += kernel_failures(crystallographs)
 
     if n <= 3:
         failures += pair_failures(nested_pairs_exhaustive(n))
@@ -607,6 +595,6 @@ def verify_all(
 
 
 def summary_to_json(summary: EnumerationSummary, failures: list[str]) -> str:
-    obj = summary.to_json_obj()
+    obj = asdict(summary)
     obj["failures"] = failures
     return json.dumps(obj, separators=(",", ":"))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -361,3 +362,31 @@ def test_console_script_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "4"
+
+
+CLI = [sys.executable, "-m", "crystallograph.cli"]
+
+
+def test_closed_output_pipe_exits_1_silently():
+    """`enumerate --nodes 4 | head -1`: the reader leaves after one line."""
+    proc = subprocess.Popen(
+        [*CLI, "enumerate", "--nodes", "4"], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    first = proc.stdout.readline()
+    # the command writes 254 kB, more than the pipe buffer, so a later write fails
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert graph_from_json(first.decode()) == empty_graph(4)
+    assert err == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+def test_unwritable_output_is_a_one_line_error():
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [*CLI, "enumerate", "--nodes", "3"], stdout=full, stderr=subprocess.PIPE, text=True
+        )
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1

@@ -76,18 +76,19 @@ class _load_graph:
     ]
 
 
-@pytest.mark.parametrize("command", ["classify", "arrangement"])
-def test_inconsistency_is_not_an_input_error(capsys, monkeypatch, tmp_path, command):
+@pytest.mark.parametrize(
+    "argv", [["classify", "G"], ["arrangement", "G", "GP"]], ids=["classify", "arrangement"]
+)
+def test_inconsistency_is_not_an_input_error(capsys, monkeypatch, tmp_path, argv):
     """A component matching no model falsifies the theorem; the CLI says so."""
 
     def falsified(nodes, edges, palette):
         raise InconsistencyError(f"component {nodes} matches no model graph")
 
-    paths = []
-    for name, g in (("d4", classical.graph_d(4)), ("a1", graph(4, [straight(1, 2, RED)]))):
-        paths.append(tmp_path / f"{name}.json")
-        paths[-1].write_text(graph_to_json(g))
-    argv = [command, str(paths[0])] + ([str(paths[1])] if command == "arrangement" else [])
+    files = {"G": classical.graph_d(4), "GP": graph(4, [straight(1, 2, RED)])}
+    for name, g in files.items():
+        (tmp_path / name).write_text(graph_to_json(g))
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
     crystal.classify_components.cache_clear()
     monkeypatch.setattr(crystal, "_match_component", falsified)
     code = cli.main(argv)

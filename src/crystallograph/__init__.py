@@ -69,7 +69,6 @@ from .graphs import (
 from .oracle import (
     EnumerationSummary,
     enumerate_subsystems_bruteforce,
-    orbit_decomposition,
     verify_all,
 )
 from .quotient import (

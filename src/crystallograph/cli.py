@@ -116,8 +116,16 @@ def _cmd_from_roots(args) -> int:
     return 0
 
 
+# `kernel` prints an n x n projection, which costs n^2 Fractions even on an
+# edgeless graph.  This is a fixed cap rather than `enumeration_limit`, whose
+# CRYSTALLOGRAPH_MAX_N override is sized for the exhaustive scans.
+KERNEL_MAX_N = 1000
+
+
 def _cmd_kernel(args) -> int:
     g = _load_graph(args.graph, args.roots, args.nodes)
+    if g.n > KERNEL_MAX_N:
+        raise ValueError(f"kernel needs at most {KERNEL_MAX_N} nodes, got {g.n}")
     obj = quotient.kernel_basis(g).to_json_obj()
     obj["projection"] = [[str(x) for x in row] for row in quotient.orthogonal_projection(g)]
     print(json.dumps(obj, separators=(",", ":")))

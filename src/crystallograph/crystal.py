@@ -27,10 +27,11 @@ those slots: `closure_rules` lists the implications per slot, and `closed`
 checks a mask against them.  A blue loop is a loop like any other, so the
 projective predicate is the same check with blue propagating.  The full
 table has about 2n^3 entries, so a graph on more than `_TABLE_MAX_N` nodes
-is checked against `_GraphRules`, the implications between its own edges,
-built by the same slot arithmetic; its cost follows its edges, not n.  The
-rules are written from the two statements above, never from reflections,
-so the sweeps in `oracle` still compare two independent routes.
+is checked by `_edges_closed`, a loop over the implications between its
+own edges read from the same `_implications`; its cost follows its edges,
+not n.  The rules are written from the two statements above, never from
+reflections, so the sweeps in `oracle` still compare two independent
+routes.
 
 Every graph passing these predicates decomposes into connected components
 drawn from a short list of models, written once in `_LOOP_MODELS`.  Apart
@@ -182,53 +183,13 @@ def closure_rules(n: int, propagating: frozenset[str]) -> HornRules:
     with partners in increasing order.  A bichromatic mask never reaches
     the n blue-loop rows at the end.  The table has about 2n^3 entries, so
     it serves the small n of the exhaustive scans; larger graphs are
-    checked with `_GraphRules`.
+    checked with `_edges_closed`.
     """
     every = {v: range(1, n + 1) for v in range(1, n + 1)}
     return tuple(
         tuple(sorted((1 << t, _bits(req)) for t, req in _implications(n, propagating, e, every)))
         for e in all_edge_slots(n, TRICHROMATIC)
     )
-
-
-class _GraphRules:
-    """The implications between one graph's own edges, as `closed` reads them.
-
-    Bit c stands for the graph's c-th edge in slot order, and bit
-    len(edges) for any slot the graph lacks; `mask` sets the graph's bits.
-    Entry c lists the implications whose later premise is edge c and whose
-    partner is also an edge, built when `closed` reaches it.  `closed`
-    passes over an implication whose partner is not set, so the answer is
-    that of the full table, while the bit width follows the edge count and
-    the work the edges at each node: a graph on many nodes costs what its
-    edges cost.
-    """
-
-    def __init__(self, g: ColouredGraph, propagating: frozenset[str]):
-        self.n = g.n
-        self.propagating = propagating
-        slot = {e: _slot(g.n, e.ends, e.colour) for e in g.edges}
-        self.edges = sorted(g.edges, key=slot.__getitem__)
-        self.index = {slot[e]: c for c, e in enumerate(self.edges)}
-        self.absent = 1 << len(self.edges)
-        self.mask = self.absent - 1
-        self.neighbours: dict[int, set[int]] = {}
-        for e in g.edges:
-            if not e.is_loop:
-                i, j = e.ends
-                self.neighbours.setdefault(i, set()).add(j)
-                self.neighbours.setdefault(j, set()).add(i)
-
-    def __getitem__(self, c: int) -> list[tuple[int, int]]:
-        index = self.index
-        entries = []
-        for t, req in _implications(self.n, self.propagating, self.edges[c], self.neighbours):
-            if t in index:
-                required = 0
-                for r in req:
-                    required |= 1 << index[r] if r in index else self.absent
-                entries.append((1 << index[t], required))
-        return entries
 
 
 def slot_mask(g: ColouredGraph) -> int:
@@ -275,7 +236,7 @@ def _mask_map_apply(tables: list[list[int]], mask: int) -> int:
     return out
 
 
-def closed(mask: int, rules: HornRules | _GraphRules) -> bool:
+def closed(mask: int, rules: HornRules) -> bool:
     """Whether the slot mask satisfies every implication of `rules`."""
     missing = ~mask
     m = mask
@@ -288,8 +249,33 @@ def closed(mask: int, rules: HornRules | _GraphRules) -> bool:
     return True
 
 
+def _edges_closed(g: ColouredGraph, propagating: frozenset[str]) -> bool:
+    """Whether g satisfies every implication between its own edges.
+
+    Each edge's implications come from `_implications`, with g's straight
+    edges as the only partners, so the answer is that of the full table
+    while the work follows the edges at each node, not n.
+    """
+    n = g.n
+    held = set()
+    near: dict[int, set[int]] = {}
+    for e in g.edges:
+        held.add(_slot(n, e.ends, e.colour))
+        if not e.is_loop:
+            i, j = e.ends
+            near.setdefault(i, set()).add(j)
+            near.setdefault(j, set()).add(i)
+    for e in g.edges:
+        for partner, required in _implications(n, propagating, e, near):
+            if partner in held:
+                for r in required:
+                    if r not in held:
+                        return False
+    return True
+
+
 # Graphs on at most this many nodes are checked against the cached full
-# table; larger ones against their own edges.
+# table, which is faster there; larger ones with `_edges_closed`.
 _TABLE_MAX_N = 8
 
 # Entries of each graph-level memo (`_graph_closed`, `classify_components`).
@@ -304,8 +290,7 @@ _MEMO_SIZE = 8
 def _graph_closed(g: ColouredGraph, propagating: frozenset[str]) -> bool:
     if g.n <= _TABLE_MAX_N:
         return closed(slot_mask(g), closure_rules(g.n, propagating))
-    rules = _GraphRules(g, propagating)
-    return closed(rules.mask, rules)
+    return _edges_closed(g, propagating)
 
 
 def is_crystallograph(g: ColouredGraph) -> bool:

@@ -41,7 +41,6 @@ from .crystal import (
     is_crystallograph,
     is_quasi_crystallograph,
     model_edges,
-    orbit_canonical,
     slot_mask,
 )
 from .graphs import (
@@ -175,27 +174,6 @@ def enumerate_subsystems_bruteforce(n: int):
     ]
     found.sort(key=lambda phi: tuple(sorted(phi)))
     yield from found
-
-
-# ---------------------------------------------------------------------------
-# Weyl orbits
-
-
-def orbit_decomposition(items, n: int):
-    """Partition graphs into Weyl orbits; lex-minimal serialisations represent.
-
-    Returns [(representative_graph, orbit_item_count)] sorted by
-    representative.
-    """
-    if n > enumeration_limit(6):
-        raise ValueError(f"n={n} exceeds the orbit limit {enumeration_limit(6)}")
-    buckets: dict[str, list] = {}
-    for g in items:
-        if g.n != n:
-            raise ValueError(f"graph on {g.n} nodes in an n={n} decomposition")
-        key, representative = orbit_canonical(g)
-        buckets.setdefault(key, [representative, 0])[1] += 1
-    return [tuple(buckets[key]) for key in sorted(buckets)]
 
 
 # ---------------------------------------------------------------------------

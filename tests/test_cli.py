@@ -135,13 +135,21 @@ def test_from_roots_names_a_malformed_root(capsys, tmp_path):
     assert code == 0 and graph_from_json(out.strip()) == graph(2, [])
 
 
-def test_kernel_output(capsys, a1_file):
+def test_kernel_output(capsys, tmp_path, a1_file):
     code, out, _ = run(capsys, "kernel", a1_file)
     assert code == 0
     obj = json.loads(out)
     assert obj["parts"] == [[1, 2], [3], [4]]
     assert obj["vectors"][0] == ["1/2", "1/2", "0", "0"]
     assert obj["projection"][0] == ["1/2", "1/2", "0", "0"]
+
+    # an edgeless graph below the node cap still gets its projection
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"palette":"bi","nodes":3,"edges":[]}')
+    code, out, _ = run(capsys, "kernel", str(empty))
+    assert code == 0
+    identity = [["1" if i == j else "0" for j in range(3)] for i in range(3)]
+    assert json.loads(out)["projection"] == identity
 
 
 def test_restrict_output(capsys, d4_file, a1_file):
@@ -315,6 +323,15 @@ def test_non_utf8_input_is_a_one_line_error(capsys, tmp_path, argv):
     code, out, err = run(capsys, *(str(path) if a == "F" else a for a in argv))
     assert code == 1 and out == ""
     assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("nodes", [1001, 100_000])
+def test_kernel_rejects_large_node_count(capsys, tmp_path, nodes):
+    path = tmp_path / "big.json"
+    path.write_text(f'{{"palette":"bi","nodes":{nodes},"edges":[]}}')
+    code, out, err = run(capsys, "kernel", str(path))
+    assert code == 1 and out == ""
+    assert err == f"error: kernel needs at most 1000 nodes, got {nodes}\n"
 
 
 @pytest.mark.parametrize("samples", ["-1", "0"])

@@ -5,8 +5,8 @@ every subcommand that reads a file.  The exit status must be 0, 1 or 2, and
 on 1 stderr must be exactly one `error:` line.  `enumerate` and `verify`
 read no file; their argument and environment limits are named cases in
 `test_cli.py`.  Mutated graphs keep at most 10 nodes, so a case tests the
-boundary rather than the memory of the host (`kernel` builds an n x n
-matrix).
+boundary rather than the time and memory of the host: `classify` and `dot`
+do work linear in the declared node count even on an edgeless graph.
 """
 
 from __future__ import annotations

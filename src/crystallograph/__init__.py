@@ -11,8 +11,6 @@ every step against independent brute-force oracles.
 from .arrange import (
     arrangements_equivalent,
     classify_restricted_arrangement,
-    lift,
-    projectify,
     quotient_projective,
     verify_projectification_compatibility,
 )
@@ -61,7 +59,9 @@ from .graphs import (
     graph_from_roots,
     graph_to_dot,
     graph_to_json,
+    lift,
     loop,
+    projectify,
     roots_from_graph,
     straight,
     weyl_act_graph,

@@ -1,9 +1,9 @@
-"""Projectification, projective quotients, and restricted-arrangement types.
+"""Projective quotients and restricted-arrangement types.
 
 Passing from roots to their kernel hyperplanes forgets dilations, so the
-short and long loop at a node fuse into one blue loop.  On graphs this is
-the projectification operation; it commutes with quotients, and the
-projectified quotients realise every restricted hyperplane arrangement.
+short and long loop at a node fuse into one blue loop (`graphs.projectify`).
+Projectification commutes with quotients, and the projectified quotients
+realise every restricted hyperplane arrangement.
 
 The projective quotient checks its own preconditions and then runs the one
 rewrite of `quotient`, whose loops come out blue on a trichromatic graph.
@@ -18,36 +18,9 @@ from .crystal import (
     classify_projective_components,
     is_projective_crystallograph,
 )
-from .graphs import (
-    BICHROMATIC,
-    BLUE,
-    RED,
-    TRICHROMATIC,
-    ColouredGraph,
-    Hyperplane,
-    loop,
-)
+from .graphs import ColouredGraph, Hyperplane, normal_lines, projectify
 from .quotient import _check_nested, _rewrite, quotient_graph
 from .rootsys import SignedPermutation, enumeration_limit, weyl_equivalent
-
-
-def projectify(g: ColouredGraph) -> ColouredGraph:
-    """Fuse the red/green loops at each node into a single blue loop."""
-    if g.palette != BICHROMATIC:
-        raise ValueError("projectify needs a bichromatic graph")
-    edges = {e for e in g.edges if not e.is_loop}
-    edges |= {loop(e.ends[0], BLUE) for e in g.edges if e.is_loop}
-    return ColouredGraph(g.n, frozenset(edges), TRICHROMATIC)
-
-
-def lift(g: ColouredGraph) -> ColouredGraph:
-    """Repaint blue loops red, producing a bichromatic graph that projectifies back."""
-    if g.palette != TRICHROMATIC:
-        raise ValueError("lift needs a trichromatic graph")
-    if any(e.is_loop and e.colour != BLUE for e in g.edges):
-        raise ValueError("lift needs all loops blue")
-    edges = {e if not e.is_loop else loop(e.ends[0], RED) for e in g.edges}
-    return ColouredGraph(g.n, frozenset(edges), BICHROMATIC)
 
 
 def quotient_projective(g: ColouredGraph, gp: ColouredGraph) -> ColouredGraph:
@@ -98,8 +71,5 @@ def arrangements_equivalent(
         raise ValueError(f"hyperplane normals must live in Q^{n}")
     if not arrangement_a:
         return SignedPermutation.identity(n)
-    return weyl_equivalent(_normal_lines(arrangement_a), _normal_lines(arrangement_b), 4)
+    return weyl_equivalent(normal_lines(arrangement_a), normal_lines(arrangement_b), 4)
 
-
-def _normal_lines(arrangement: frozenset[Hyperplane]) -> frozenset[tuple[int, ...]]:
-    return frozenset(v for h in arrangement for v in (h.normal, tuple(-c for c in h.normal)))

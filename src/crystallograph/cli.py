@@ -46,19 +46,33 @@ def _read_file(path: str) -> str:
         raise ValueError(f"cannot read {path}: {exc}") from None
 
 
+# Fixed caps on a graph's declared node count.  Every graph-reading command
+# builds something per node (a length-n vector for each root, the node
+# partition of the components), so `_load_graph` refuses a graph on more than
+# MAX_NODES nodes; `kernel` prints an n x n projection, which costs n^2
+# Fractions even on an edgeless graph, so it stops at KERNEL_MAX_N.  Both are
+# constants rather than `enumeration_limit`, whose CRYSTALLOGRAPH_MAX_N
+# override is sized for the exhaustive scans.
+MAX_NODES = 100_000
+KERNEL_MAX_N = 1000
+
+
 def _load_graph(path: str, roots_mode: bool = False, nodes: int | None = None) -> ColouredGraph:
     text = _read_file(path)
     try:
-        if roots_mode:
-            phi = parse_roots_text(text)
-            if not phi:
-                if nodes is None:
-                    raise ValueError("empty root file; pass --nodes to fix the dimension")
-                return ColouredGraph(nodes, frozenset())
-            return graph_from_roots(phi, nodes)
-        return graph_from_json(text)
+        if not roots_mode:
+            g = graph_from_json(text)
+        elif phi := parse_roots_text(text):
+            g = graph_from_roots(phi, nodes)
+        elif nodes is None:
+            raise ValueError("empty root file; pass --nodes to fix the dimension")
+        else:
+            g = ColouredGraph(nodes, frozenset())
+        if g.n > MAX_NODES:
+            raise ValueError(f"a graph may have at most {MAX_NODES} nodes, got {g.n}")
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    return g
 
 
 def _normalized_pair(g: ColouredGraph, gp: ColouredGraph):
@@ -114,12 +128,6 @@ def _cmd_to_roots(args) -> int:
 def _cmd_from_roots(args) -> int:
     print(graph_to_json(_load_graph(args.file, roots_mode=True, nodes=args.nodes)))
     return 0
-
-
-# `kernel` prints an n x n projection, which costs n^2 Fractions even on an
-# edgeless graph.  This is a fixed cap rather than `enumeration_limit`, whose
-# CRYSTALLOGRAPH_MAX_N override is sized for the exhaustive scans.
-KERNEL_MAX_N = 1000
 
 
 def _cmd_kernel(args) -> int:

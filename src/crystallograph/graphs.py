@@ -7,12 +7,13 @@ endpoint set.  It encodes a symmetric subset of BC_n:
     straight R {i,j} <-> +-(e_i - e_j)      loop R {k} <-> +-e_k
     straight G {i,j} <-> +-(e_i + e_j)      loop G {k} <-> +-2 e_k
 
-A trichromatic graph additionally allows blue (B), but only on loops; with
-R/G straight edges and B loops it encodes a sub-arrangement of the
-hyperplane arrangement of type B_n/C_n:
-
-    straight R {i,j} <-> Ker(a_i - a_j)     straight G {i,j} <-> Ker(a_i + a_j)
-    loop B {k} <-> Ker(a_k)
+A trichromatic graph additionally allows blue (B), but only on loops.  A
+blue loop is a red or green loop whose length is forgotten, since
+Ker(e_k) = Ker(2 e_k): `projectify` fuses the loops at a node into one blue
+loop and `lift` repaints each blue loop red.  So a trichromatic graph g with
+R/G straight edges and B loops encodes the sub-arrangement of the B_n/C_n
+hyperplane arrangement made of the kernels of the roots of lift(g), read
+through the table above and no second one.
 
 Graphs are immutable values; equality is literal (same node count, same edge
 set).  The constructor freezes whatever edge iterable it is given, so every
@@ -164,71 +165,60 @@ def graph_from_roots(phi, n: int | None = None) -> ColouredGraph:
 # projective correspondence: trichromatic graphs <-> sub-arrangements of B/C
 
 
+def projectify(g: ColouredGraph) -> ColouredGraph:
+    """Fuse the red/green loops at each node into a single blue loop."""
+    if g.palette != BICHROMATIC:
+        raise ValueError("projectify needs a bichromatic graph")
+    edges = {e for e in g.edges if not e.is_loop}
+    edges |= {loop(e.ends[0], BLUE) for e in g.edges if e.is_loop}
+    return ColouredGraph(g.n, frozenset(edges), TRICHROMATIC)
+
+
+def lift(g: ColouredGraph) -> ColouredGraph:
+    """Repaint blue loops red, producing a bichromatic graph that projectifies back."""
+    if g.palette != TRICHROMATIC:
+        raise ValueError("lift needs a trichromatic graph")
+    stray = next((e for e in g.edges if e.is_loop and e.colour != BLUE), None)
+    if stray is not None:
+        raise ValueError(f"lift needs all loops blue, got {stray}")
+    edges = {e if not e.is_loop else loop(e.ends[0], RED) for e in g.edges}
+    return ColouredGraph(g.n, frozenset(edges), BICHROMATIC)
+
+
 @dataclass(frozen=True, order=True)
 class Hyperplane:
     """A hyperplane Ker(normal), stored by its canonical normal.
 
-    The representative is primitive with first nonzero entry positive, so
-    e_i and 2 e_i name the same hyperplane (dilation does not move a kernel).
+    The constructor makes the normal primitive with first nonzero entry
+    positive, so e_i, 2 e_i and -e_i name the same hyperplane (dilation does
+    not move a kernel), and equal hyperplanes are equal values.
     """
 
     normal: tuple[int, ...]
 
-    @classmethod
-    def from_normal(cls, v: tuple[int, ...]) -> Hyperplane:
-        if all(c == 0 for c in v):
+    def __post_init__(self) -> None:
+        v = tuple(self.normal)
+        g = gcd(*v)
+        if g == 0:
             raise ValueError("the zero covector has no kernel hyperplane")
-        g = 0
-        for c in v:
-            g = gcd(g, abs(c))
-        v = tuple(c // g for c in v)
-        first = next(c for c in v if c != 0)
-        if first < 0:
-            v = tuple(-c for c in v)
-        return cls(v)
+        if next(c for c in v if c != 0) < 0:
+            g = -g
+        object.__setattr__(self, "normal", tuple(c // g for c in v))
+
+
+def normal_lines(arrangement) -> frozenset[Root]:
+    """The +- normals of an arrangement's hyperplanes."""
+    return frozenset(v for h in arrangement for v in (h.normal, tuple(-c for c in h.normal)))
 
 
 def arrangement_from_graph(g: ColouredGraph) -> frozenset[Hyperplane]:
     """Hyperplanes encoded by a trichromatic graph with R/G straights and B loops."""
-    if g.palette != TRICHROMATIC:
-        raise ValueError("arrangement_from_graph needs a trichromatic graph")
-    out: set[Hyperplane] = set()
-    for e in g.edges:
-        if e.is_loop:
-            if e.colour != BLUE:
-                raise ValueError(f"loops must be blue here, got {e}")
-            v = [0] * g.n
-            v[e.ends[0] - 1] = 1
-        else:
-            i, j = e.ends
-            v = [0] * g.n
-            v[i - 1] = 1
-            v[j - 1] = -1 if e.colour == RED else 1
-        out.add(Hyperplane.from_normal(tuple(v)))
-    return frozenset(out)
+    return frozenset(Hyperplane(alpha) for alpha in roots_from_graph(lift(g)))
 
 
 def graph_from_arrangement(hyperplanes, n: int | None = None) -> ColouredGraph:
     """Inverse of arrangement_from_graph; rejects hyperplanes outside the B/C arrangement."""
-    hyperplanes = frozenset(hyperplanes)
-    if n is None:
-        if not hyperplanes:
-            raise ValueError("cannot infer the node count of an empty arrangement")
-        n = len(next(iter(hyperplanes)).normal)
-    edges: set[Edge] = set()
-    for h in hyperplanes:
-        v = h.normal
-        if len(v) != n:
-            raise ValueError(f"hyperplane normal {v} does not live in Q^{n}")
-        support = [(i + 1, c) for i, c in enumerate(v) if c != 0]
-        if len(support) == 1 and support[0][1] == 1:
-            edges.add(loop(support[0][0], BLUE))
-        elif len(support) == 2 and support[0][1] == 1 and support[1][1] in (-1, 1):
-            (i, _), (j, cj) = support
-            edges.add(straight(i, j, RED if cj == -1 else GREEN))
-        else:
-            raise ValueError(f"hyperplane {v} is not of shape Ker(a_i +- a_j) or Ker(a_k)")
-    return ColouredGraph(n, frozenset(edges), TRICHROMATIC)
+    return projectify(graph_from_roots(normal_lines(hyperplanes), n))
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,6 @@ from crystallograph import classical, oracle
 from crystallograph.arrange import (
     arrangements_equivalent,
     classify_restricted_arrangement,
-    lift,
-    projectify,
     quotient_projective,
     verify_projectification_compatibility,
 )
@@ -29,7 +27,9 @@ from crystallograph.graphs import (
     arrangement_from_graph,
     empty_graph,
     graph,
+    lift,
     loop,
+    projectify,
     roots_from_graph,
     straight,
 )
@@ -202,10 +202,18 @@ def test_arrangements_equivalent_witnesses_carry_exhaustive_n2():
             w = arrangements_equivalent(a, b, 2)
             if w is not None:
                 found += 1
-                assert frozenset(Hyperplane.from_normal(w.apply(h.normal)) for h in a) == b
+                assert frozenset(Hyperplane(w.apply(h.normal)) for h in a) == b
     # W(B_2) orbits on subsets of its four hyperplanes, by subset size:
     # 1 | 2, 2 | 1, 1, 4 | 2, 2 | 1; equivalent pairs are the sum of squares
     assert found == sum(k * k for k in (1, 2, 2, 1, 1, 4, 2, 2, 1))
+
+
+def test_arrangements_equivalent_counts_hyperplanes_not_normals():
+    # Ker(a_1 - a_2) written twice is still one hyperplane
+    twice = {Hyperplane((1, -1)), Hyperplane((-1, 1))}
+    once = {Hyperplane((1, -1))}
+    assert len(twice) == 1
+    assert arrangements_equivalent(twice, once, 2) is not None
 
 
 def test_arrangements_equivalent_limit():
@@ -216,6 +224,6 @@ def test_arrangements_equivalent_limit():
     a3 = arrangement_from_graph(projectify(classical.graph_a(3)))
     with pytest.raises(ValueError):
         arrangements_equivalent(a3, a3, 2)
-    odd = frozenset({Hyperplane.from_normal((1, 2))})
+    odd = frozenset({Hyperplane((1, 2))})
     with pytest.raises(ValueError):
         arrangements_equivalent(odd, odd, 2)

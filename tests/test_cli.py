@@ -334,6 +334,41 @@ def test_kernel_rejects_large_node_count(capsys, tmp_path, nodes):
     assert err == f"error: kernel needs at most 1000 nodes, got {nodes}\n"
 
 
+@pytest.mark.parametrize("nodes", [100_001, 10**15])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "G"],
+        ["check", "R", "--roots", "--nodes", "N"],
+        ["classify", "G"],
+        ["to-roots", "G"],
+        ["from-roots", "R", "--nodes", "N"],
+        ["kernel", "G"],
+        ["quotient", "G", "E"],
+        ["restrict", "G", "E"],
+        ["projectify", "G"],
+        ["arrangement", "G"],
+        ["arrangement", "G", "E"],
+        ["dot", "G"],
+    ],
+    ids=lambda argv: "-".join(argv),
+)
+def test_graph_above_node_cap_is_a_one_line_error(capsys, tmp_path, argv, nodes):
+    looped = tmp_path / "looped.json"
+    looped.write_text(
+        f'{{"palette":"bi","nodes":{nodes},"edges":[{{"kind":"loop","k":1,"colour":"R"}}]}}'
+    )
+    edgeless = tmp_path / "edgeless.json"
+    edgeless.write_text(f'{{"palette":"bi","nodes":{nodes},"edges":[]}}')
+    roots = tmp_path / "roots.txt"
+    roots.write_text("")
+    files = {"G": str(looped), "E": str(edgeless), "R": str(roots), "N": str(nodes)}
+    code, out, err = run(capsys, *(files.get(a, a) for a in argv))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"at most 100000 nodes, got {nodes}" in err
+
+
 @pytest.mark.parametrize("samples", ["-1", "0"])
 def test_verify_rejects_samples_below_one(capsys, samples):
     code, out, err = run(capsys, "verify", "--nodes", "5", "--samples", samples)

@@ -9,7 +9,6 @@ from itertools import chain, combinations
 import pytest
 
 from crystallograph import classical, crystal, oracle
-from crystallograph.arrange import lift
 from crystallograph.crystal import (
     CRYSTAL_PROPAGATING,
     PROJECTIVE_PROPAGATING,
@@ -46,6 +45,7 @@ from crystallograph.graphs import (
     graph,
     graph_from_roots,
     graph_to_json,
+    lift,
     loop,
     roots_from_graph,
     straight,

@@ -239,21 +239,30 @@ def test_graph_from_arrangement_examples():
 
 
 def test_hyperplane_canonicalisation():
-    assert Hyperplane.from_normal((0, 2)) == Hyperplane.from_normal((0, 1))
-    assert Hyperplane.from_normal((0, -1)) == Hyperplane((0, 1))
-    assert Hyperplane.from_normal((-1, 1)) == Hyperplane((1, -1))
-    with pytest.raises(ValueError):
-        Hyperplane.from_normal((0, 0))
+    # one hyperplane is one value, whatever normal it is written with
+    assert Hyperplane((0, 2)) == Hyperplane((0, 1))
+    assert Hyperplane((0, -1)) == Hyperplane((0, 1))
+    assert Hyperplane((-1, 1)) == Hyperplane((1, -1))
+    assert Hyperplane((-3, 3, 0)).normal == (1, -1, 0)
+    assert hash(Hyperplane((2, 2))) == hash(Hyperplane((-1, -1)))
+    assert len({Hyperplane((1, -1)), Hyperplane((-1, 1)), Hyperplane((2, -2))}) == 1
+    for zero in ((0, 0), (0,), ()):
+        with pytest.raises(ValueError):
+            Hyperplane(zero)
 
 
-def test_arrangement_roundtrip_exhaustive_n2():
-    # all trichromatic graphs with R/G straights and B loops on 2 nodes
-    slots = [straight(1, 2, RED), straight(1, 2, GREEN), loop(1, BLUE), loop(2, BLUE)]
-    for mask in range(1 << len(slots)):
-        g = ColouredGraph(
-            2, frozenset(s for b, s in enumerate(slots) if mask >> b & 1), TRICHROMATIC
-        )
-        assert graph_from_arrangement(arrangement_from_graph(g), 2) == g
+def test_arrangement_roundtrip_exhaustive_n_le_3():
+    # all trichromatic graphs with R/G straights and B loops on n <= 3 nodes
+    for n in (1, 2, 3):
+        slots = [loop(k, BLUE) for k in range(1, n + 1)]
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                slots += [straight(i, j, RED), straight(i, j, GREEN)]
+        for mask in range(1 << len(slots)):
+            g = ColouredGraph(
+                n, frozenset(s for b, s in enumerate(slots) if mask >> b & 1), TRICHROMATIC
+            )
+            assert graph_from_arrangement(arrangement_from_graph(g), n) == g
 
 
 def test_json_canonical_form():

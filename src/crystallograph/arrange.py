@@ -71,5 +71,5 @@ def arrangements_equivalent(
         raise ValueError(f"hyperplane normals must live in Q^{n}")
     if not arrangement_a:
         return SignedPermutation.identity(n)
-    return weyl_equivalent(normal_lines(arrangement_a), normal_lines(arrangement_b), 4)
+    return weyl_equivalent(normal_lines(arrangement_a), normal_lines(arrangement_b))
 

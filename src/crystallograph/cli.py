@@ -32,6 +32,7 @@ from .graphs import (
     graph_to_dot,
     graph_to_json,
     parse_roots_text,
+    projectify,
     roots_from_graph,
     roots_to_text,
     weyl_act_graph,
@@ -167,7 +168,7 @@ def _cmd_restrict(args) -> int:
 
 
 def _cmd_projectify(args) -> int:
-    print(graph_to_json(arrange.projectify(_load_graph(args.graph, args.roots, args.nodes))))
+    print(graph_to_json(projectify(_load_graph(args.graph, args.roots, args.nodes))))
     return 0
 
 
@@ -176,11 +177,11 @@ def _cmd_arrangement(args) -> int:
     if args.subgraph is not None:
         gp = _load_graph(args.subgraph)
         if g.palette == BICHROMATIC:
-            projectified = arrange.projectify(quotient.quotient_graph(g, gp))
+            projectified = projectify(quotient.quotient_graph(g, gp))
         else:
             projectified = arrange.quotient_projective(g, gp)
     elif g.palette == BICHROMATIC:
-        projectified = arrange.projectify(g)
+        projectified = projectify(g)
     else:
         projectified = g
     hyperplanes = arrangement_from_graph(projectified)
@@ -194,12 +195,7 @@ def _cmd_arrangement(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    mode = "all"
-    if args.quasi:
-        mode = "quasi"
-    if args.up_to_weyl:
-        mode = "up_to_weyl"
-    stream = crystal.enumerate_crystallographs(args.nodes, mode)
+    stream = crystal.enumerate_crystallographs(args.nodes, args.mode)
     if args.count_only:
         print(sum(1 for _ in stream))
     else:
@@ -291,10 +287,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="stream graphs passing a predicate")
     p.add_argument("--nodes", type=int, required=True)
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--quasi", action="store_true")
-    group.add_argument("--up-to-weyl", dest="up_to_weyl", action="store_true")
+    group.add_argument("--quasi", dest="mode", action="store_const", const="quasi")
+    group.add_argument("--up-to-weyl", dest="mode", action="store_const", const="up_to_weyl")
     p.add_argument("--count-only", dest="count_only", action="store_true")
-    p.set_defaults(func=_cmd_enumerate)
+    p.set_defaults(func=_cmd_enumerate, mode="all")
 
     p = sub.add_parser("verify", help="run the full verification suites")
     p.add_argument("--nodes", type=int, required=True)

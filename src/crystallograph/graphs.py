@@ -108,9 +108,8 @@ def empty_graph(n: int, palette: str = BICHROMATIC) -> ColouredGraph:
     return ColouredGraph(n, frozenset(), palette)
 
 
-def graph(n: int, edges, palette: str = BICHROMATIC) -> ColouredGraph:
-    """Convenience constructor from any iterable of edges."""
-    return ColouredGraph(n, frozenset(edges), palette)
+# the constructor freezes any edge iterable, so `graph` is just its short name
+graph = ColouredGraph
 
 
 # ---------------------------------------------------------------------------

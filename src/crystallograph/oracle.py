@@ -18,6 +18,7 @@ import json
 import random
 import time
 from dataclasses import asdict, dataclass
+from functools import cache
 from math import comb
 from operator import mul
 
@@ -95,7 +96,6 @@ class LineTables:
         self.reps: list[Root] = sorted({_canon_line(a) for a in roots_bc(n)})
         self.index = {rep: i for i, rep in enumerate(self.reps)}
         self.count = len(self.reps)
-        self.full_mask = (1 << self.count) - 1
         self._perm_tables = [
             _mask_map_tables([1 << self.index[_canon_line(reflect(a, b))] for b in self.reps])
             for a in self.reps
@@ -145,13 +145,10 @@ class LineTables:
         return mask
 
 
-_TABLE_CACHE: dict[int, LineTables] = {}
-
-
+@cache
 def line_tables(n: int) -> LineTables:
-    if n not in _TABLE_CACHE:
-        _TABLE_CACHE[n] = LineTables(n)
-    return _TABLE_CACHE[n]
+    """The LineTables of BC_n, built once per n."""
+    return LineTables(n)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +413,8 @@ def kernel_failures(graphs) -> list[str]:
         if classify_components(g).has_bipartite():
             continue
         basis = kernel_basis(g)
-        generic = linalg.nullspace_basis(sorted(roots_from_graph(g)), g.n)
+        roots = sorted(roots_from_graph(g))
+        generic = linalg.nullspace_basis(roots, g.n)
         if not linalg.span_equal(basis.vectors, generic):
             failures.append(f"kernel span mismatch: {graph_to_json(g)}")
             continue
@@ -432,7 +430,7 @@ def kernel_failures(graphs) -> list[str]:
             if any(sum(map(mul, row, v)) != D * x for row, x in zip(P, v)):
                 failures.append(f"projection moves a kernel vector: {graph_to_json(g)}")
         columns = list(zip(*P))
-        for alpha in sorted(roots_from_graph(g)):
+        for alpha in roots:
             if any(sum(map(mul, alpha, col)) for col in columns):
                 failures.append(f"projection image not annihilated by {alpha}: {graph_to_json(g)}")
                 break

@@ -103,23 +103,20 @@ def kernel_basis(g: ColouredGraph) -> KernelBasis:
 def orthogonal_projection(g: ColouredGraph) -> RationalMatrix:
     """The orthogonal projection of Q^n onto the kernel, as an exact matrix.
 
-    Sends e_i to e_{I_i}/|I_i| when node i lies in a red component I_i and
-    to 0 otherwise; symmetric and idempotent by construction.
+    Row i is the kernel vector e_I/|I| of the red component I holding node
+    i, and 0 when node i is in no red component; symmetric and idempotent
+    by construction.
     """
-    parts = _classical_red_parts(g)
-    matrix = [[Fraction(0)] * g.n for _ in range(g.n)]
-    for part in parts:
-        entry = Fraction(1, len(part))
-        for a in part:
-            for b in part:
-                matrix[a - 1][b - 1] = entry
-    return tuple(tuple(row) for row in matrix)
+    basis = kernel_basis(g)
+    zero = (Fraction(0),) * g.n
+    row_of = {v: vec for part, vec in zip(basis.parts, basis.vectors) for v in part}
+    return tuple(row_of.get(i, zero) for i in range(1, g.n + 1))
 
 
 def _check_nested(g: ColouredGraph, gp: ColouredGraph) -> None:
     if g.n != gp.n:
         raise ValueError(f"node counts differ: {g.n} vs {gp.n}")
-    if not gp.edges <= g.edges:
+    if not gp.is_subgraph_of(g):
         raise ValueError("subgraph relation violated: gp has edges outside g")
 
 

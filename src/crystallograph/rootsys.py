@@ -60,15 +60,10 @@ def is_bc_root(v: tuple[int, ...]) -> bool:
     return False
 
 
-def validate_root(v: tuple[int, ...]) -> Root:
-    if not is_bc_root(v):
-        raise ValueError(f"not a BC root: {v}")
-    return v
-
-
 def validate_root_set(phi: frozenset[Root] | set[Root]) -> None:
     for alpha in phi:
-        validate_root(alpha)
+        if not is_bc_root(alpha):
+            raise ValueError(f"not a BC root: {alpha}")
     dims = {len(alpha) for alpha in phi}
     if len(dims) > 1:
         raise ValueError(f"mixed ambient dimensions in root set: {sorted(dims)}")
@@ -199,12 +194,11 @@ def weyl_apply(w: SignedPermutation, phi: frozenset[Root] | set[Root]) -> RootSe
 def weyl_equivalent(
     phi: frozenset[Root] | set[Root],
     psi: frozenset[Root] | set[Root],
-    limit: int = 6,
 ) -> SignedPermutation | None:
     """Some w with w(phi) = psi, or None if the sets are not Weyl-equivalent.
 
     Searches the full group, pruning on cardinality and the multiset of
-    squared lengths (both are Weyl invariants).  Default hard limit n <= 6
+    squared lengths (both are Weyl invariants).  Hard limit n <= 6
     (|W(BC_6)| = 46080); raise it via CRYSTALLOGRAPH_MAX_N at your own risk.
     """
     validate_root_set(phi)
@@ -215,8 +209,8 @@ def weyl_equivalent(
     if not dims:
         return SignedPermutation.identity(0)
     n = dims.pop()
-    if n > enumeration_limit(limit):
-        raise ValueError(f"n={n} exceeds the Weyl search limit {enumeration_limit(limit)}")
+    if n > enumeration_limit(6):
+        raise ValueError(f"n={n} exceeds the Weyl search limit {enumeration_limit(6)}")
     if len(phi) != len(psi):
         return None
     if sorted(dot(a, a) for a in phi) != sorted(dot(a, a) for a in psi):
@@ -252,24 +246,23 @@ def roots_d(n: int) -> RootSet:
     return frozenset(out)
 
 
-def roots_b(n: int) -> RootSet:
+def _d_plus_coordinate_roots(n: int, k: int) -> RootSet:
+    """D_n together with the coordinate roots +-k e_i."""
     out = set(roots_d(n))
     for i in range(n):
         v = [0] * n
-        v[i] = 1
+        v[i] = k
         out.add(tuple(v))
         out.add(_negate(v))
     return frozenset(out)
+
+
+def roots_b(n: int) -> RootSet:
+    return _d_plus_coordinate_roots(n, 1)
 
 
 def roots_c(n: int) -> RootSet:
-    out = set(roots_d(n))
-    for i in range(n):
-        v = [0] * n
-        v[i] = 2
-        out.add(tuple(v))
-        out.add(_negate(v))
-    return frozenset(out)
+    return _d_plus_coordinate_roots(n, 2)
 
 
 def roots_bc(n: int) -> RootSet:

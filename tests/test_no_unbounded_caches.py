@@ -9,7 +9,7 @@ from pathlib import Path
 import crystallograph
 
 # built once per node count (and palette or rule set), so a few entries at most
-PER_N_TABLES = {"closure_rules", "all_edge_slots", "_generator_tables"}
+PER_N_TABLES = {"closure_rules", "all_edge_slots", "_generator_tables", "line_tables"}
 
 
 def _functools_names(tree: ast.AST) -> tuple[set[str], set[str], set[str]]:

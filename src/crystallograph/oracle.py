@@ -6,10 +6,12 @@ agreement between the two routes is the evidence the library stands on.
 
 The workhorse is a bitmask representation of symmetric subsets of BC_n.
 Opposite root pairs +-alpha are "lines"; a symmetric subset is a set of
-lines, i.e. an integer mask over the n^2 + n lines.  Each reflection
-sigma_alpha permutes the lines, and a subset is a root subsystem exactly
-when the masks of its own lines' reflections fix it.  The permutations are
-derived from `rootsys.reflect` alone, so no graph code is involved.
+lines, i.e. an integer mask over the n^2 + n lines, numbered by the edge
+slots of `crystal.all_edge_slots`, so a graph's slot mask is its line mask.
+Each reflection sigma_alpha permutes the lines, and a subset is a root
+subsystem exactly when the masks of its own lines' reflections fix it.
+The permutations come from `rootsys.reflect` alone: only the numbering is
+read from the graph correspondence, never a closure rule or Weyl action.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import random
 import time
 from dataclasses import asdict, dataclass
 from functools import cache
-from math import comb
+from math import comb, factorial
 from operator import mul
 
 from . import linalg
@@ -87,17 +89,22 @@ def _canon_line(alpha: Root) -> Root:
 class LineTables:
     """Reflection action of BC_n on its own root lines, as mask permutations.
 
-    For each line a, `apply(a, mask)` is the mask of sigma_a applied to the
-    lines in `mask`, a handful of table lookups per call.
+    Line i is the line of the edge in slot i of `all_edge_slots(n)`; an
+    InconsistencyError says the slots do not number BC_n's lines once each.
+    For each line a, `apply(a, mask)` is the mask of sigma_a, from `reflect`
+    alone, applied to the lines in `mask`: a few table lookups per call.
     """
 
     def __init__(self, n: int):
         self.n = n
-        self.reps: list[Root] = sorted({_canon_line(a) for a in roots_bc(n)})
-        self.index = {rep: i for i, rep in enumerate(self.reps)}
+        one_edge = (ColouredGraph(n, frozenset((e,))) for e in all_edge_slots(n))
+        self.reps: list[Root] = [_canon_line(min(roots_from_graph(g))) for g in one_edge]
+        if sorted(self.reps) != sorted({_canon_line(a) for a in roots_bc(n)}):
+            raise InconsistencyError(f"the edge slots on {n} nodes do not number the lines of BC_{n}")
+        index = {rep: i for i, rep in enumerate(self.reps)}
         self.count = len(self.reps)
         self._perm_tables = [
-            _mask_map_tables([1 << self.index[_canon_line(reflect(a, b))] for b in self.reps])
+            _mask_map_tables([1 << index[_canon_line(reflect(a, b))] for b in self.reps])
             for a in self.reps
         ]
 
@@ -137,12 +144,6 @@ class LineTables:
             out.add(tuple(-c for c in rep))
             m ^= low
         return frozenset(out)
-
-    def roots_to_mask(self, phi) -> int:
-        mask = 0
-        for alpha in phi:
-            mask |= 1 << self.index[_canon_line(alpha)]
-        return mask
 
 
 @cache
@@ -271,9 +272,8 @@ def random_nested_pair(
     """
     tables = line_tables(n)
     g = random_crystallograph(n, rng)
-    g_mask = tables.roots_to_mask(roots_from_graph(g))
-    sub = g_mask & rng.getrandbits(tables.count)
-    gp = graph_from_roots(tables.mask_to_roots(tables.closure(sub)), n)
+    sub = slot_mask(g) & rng.getrandbits(tables.count)
+    gp = graph_from_slot_mask(n, tables.closure(sub))
     if classify_components(gp).has_bipartite():
         gp, w = bipartite_normalize(gp)
         g = weyl_act_graph(w, g)
@@ -281,24 +281,23 @@ def random_nested_pair(
 
 
 def nested_pairs_exhaustive(n: int):
-    """Every nested crystallograph pair (gp classical) on n nodes; n <= 3."""
+    """Every nested crystallograph pair (gp classical) on n nodes; n <= 3.
+
+    gp runs over the sub-masks of g's slot mask that pass the closure rules.
+    """
     if n > enumeration_limit(3):
         raise ValueError(f"n={n} exceeds the exhaustive pair limit {enumeration_limit(3)}")
     rules = closure_rules(n, CRYSTAL_PROPAGATING)
     for g in enumerate_crystallographs(n, "all"):
-        edge_list = g.sorted_edges()
-        # subsets of g's edges, counted in sorted-edge order, as slot masks
-        to_slots = _mask_map_tables(
-            [slot_mask(ColouredGraph(n, frozenset((e,)))) for e in edge_list]
-        )
-        for sub in range(1 << len(edge_list)):
-            mask = _mask_map_apply(to_slots, sub)
-            if not closed(mask, rules):
-                continue
-            gp = graph_from_slot_mask(n, mask)
-            if classify_components(gp).has_bipartite():
-                continue
-            yield g, gp
+        g_mask = mask = slot_mask(g)
+        while True:
+            if closed(mask, rules):
+                gp = graph_from_slot_mask(n, mask)
+                if not classify_components(gp).has_bipartite():
+                    yield g, gp
+            if not mask:
+                break
+            mask = (mask - 1) & g_mask
 
 
 # ---------------------------------------------------------------------------
@@ -320,28 +319,20 @@ def bijection_sweep(n: int, samples: int | None = None, seed: int = RNG_DEFAULT_
 
     Exhaustive when samples is None (all 2^(n^2+n) graphs); otherwise over
     `samples` seeded random graphs.  Each slot mask is checked against both
-    rule sets and, translated to lines, against the oracle; only graphs that
-    either side accepts are built, and those also go through
+    rule sets and, as the line mask it also is, against the oracle; only
+    graphs that either side accepts are built, and those also go through
     is_crystallograph.  Returns (checked, crystallograph_list, quasi_count,
     failures).
     """
     tables = line_tables(n)
-    slots = all_edge_slots(n)
-    # slot -> line bit, transported through the correspondence one edge at a time
-    slot_line = []
-    for s in slots:
-        pair = roots_from_graph(ColouredGraph(n, frozenset([s])))
-        slot_line.append(1 << tables.index[_canon_line(min(pair))])
-    nslots = len(slots)
-    translate = _mask_map_tables(slot_line)
     full_rules = closure_rules(n, CRYSTAL_PROPAGATING)
     quasi_rules = closure_rules(n, QUASI_PROPAGATING)
 
     if samples is None:
-        masks = range(1 << nslots)
+        masks = range(1 << tables.count)
     else:
         rng = random.Random(seed)
-        masks = [rng.getrandbits(nslots) for _ in range(samples)]
+        masks = [rng.getrandbits(tables.count) for _ in range(samples)]
 
     crystallographs: list[ColouredGraph] = []
     quasi_count = 0
@@ -350,7 +341,7 @@ def bijection_sweep(n: int, samples: int | None = None, seed: int = RNG_DEFAULT_
     for mask in masks:
         checked += 1
         graph_side = closed(mask, full_rules)
-        root_side = tables.is_subsystem(_mask_map_apply(translate, mask))
+        root_side = tables.is_subsystem(mask)
         if graph_side or root_side:
             g = graph_from_slot_mask(n, mask)
             if not graph_side == root_side == is_crystallograph(g):
@@ -469,13 +460,22 @@ def pair_failures(pairs) -> list[str]:
 
 
 def weyl_commutation_failures(n: int, samples: int, seed: int) -> list[str]:
-    """The graph action must match the root action through the correspondence."""
-    rng = random.Random(seed)
+    """The graph action must match the root action through the correspondence.
+
+    Samples are drawn as `random_bichromatic_graph` and `choice` would, twice:
+    to pick what one walk over `weyl_group(n)` keeps, then to compare.
+    """
+
+    def draws():
+        rng = random.Random(seed)
+        for _ in range(samples):
+            yield rng.getrandbits(n * n + n), rng.randrange(2**n * factorial(n))
+
+    wanted = {i for _, i in draws()}
+    drawn = {i: w for i, w in enumerate(weyl_group(n)) if i in wanted}
     failures = []
-    group = list(weyl_group(n))
-    for _ in range(samples):
-        g = random_bichromatic_graph(n, rng)
-        w = rng.choice(group)
+    for mask, i in draws():
+        g, w = graph_from_slot_mask(n, mask), drawn[i]
         via_roots = graph_from_roots(weyl_apply(w, roots_from_graph(g)), n)
         via_graph = weyl_act_graph(w, g)
         if via_roots != via_graph:

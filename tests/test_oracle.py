@@ -12,10 +12,14 @@ from crystallograph import classical, oracle
 from crystallograph.linalg import nullspace_basis
 from crystallograph.quotient import KernelBasis
 from crystallograph.crystal import (
+    InconsistencyError,
+    all_bichromatic_graphs,
+    all_edge_slots,
     classify_components,
     enumerate_crystallographs,
     is_crystallograph,
     orbit_canonical,
+    slot_mask,
 )
 from crystallograph.graphs import (
     RED,
@@ -25,6 +29,7 @@ from crystallograph.graphs import (
     graph_to_json,
     loop,
     roots_from_graph,
+    weyl_act_graph,
 )
 from crystallograph.oracle import (
     LineTables,
@@ -35,6 +40,7 @@ from crystallograph.oracle import (
     enumerate_subsystems_bruteforce,
     kernel_failures,
     line_tables,
+    random_bichromatic_graph,
     random_crystallograph,
     random_nested_pair,
     verify_all,
@@ -42,11 +48,13 @@ from crystallograph.oracle import (
     weyl_orbit_failures,
 )
 from crystallograph.rootsys import (
+    SignedPermutation,
     is_root_subsystem,
     reflection_closure,
     roots_a,
     roots_b,
     roots_bc,
+    weyl_group,
 )
 
 
@@ -74,6 +82,33 @@ def test_line_tables_closure_matches_naive():
         mask = rng.getrandbits(tables.count) & rng.getrandbits(tables.count)
         closed = tables.closure(mask)
         assert tables.mask_to_roots(closed) == reflection_closure(tables.mask_to_roots(mask))
+
+
+def test_slot_mask_is_line_mask():
+    # line i of the oracle is the line of the edge in slot i
+    for n in (1, 2, 3):
+        tables = line_tables(n)
+        for g in all_bichromatic_graphs(n):
+            assert tables.mask_to_roots(slot_mask(g)) == roots_from_graph(g)
+    rng = random.Random(79)
+    for n in (4, 5, 6):
+        tables = line_tables(n)
+        for _ in range(300):
+            g = random_bichromatic_graph(n, rng)
+            assert tables.mask_to_roots(slot_mask(g)) == roots_from_graph(g)
+
+
+def test_line_tables_reject_two_slots_on_one_line(monkeypatch):
+    first, second = all_edge_slots(3)[:2]
+
+    def merged(g):
+        if g.edges == {second}:
+            g = ColouredGraph(3, frozenset((first,)))
+        return roots_from_graph(g)
+
+    monkeypatch.setattr(oracle, "roots_from_graph", merged)
+    with pytest.raises(InconsistencyError):
+        LineTables(3)
 
 
 def test_enumerate_subsystems_bruteforce_counts():
@@ -195,7 +230,8 @@ def test_bijection_sweep_reports_mismatches(monkeypatch):
 
 
 def test_nested_pairs_exhaustive_matches_subgraph_scan():
-    # the mask filter yields what a scan over subgraph objects finds, in order
+    # the sub-mask walk yields what a scan over subgraph objects finds: each
+    # g's pairs together and in enumeration order of g, each pair once
     expected = []
     for g in enumerate_crystallographs(3, "all"):
         edge_list = g.sorted_edges()
@@ -204,7 +240,9 @@ def test_nested_pairs_exhaustive_matches_subgraph_scan():
             if is_crystallograph(gp) and not classify_components(gp).has_bipartite():
                 expected.append((g, gp))
     assert len(expected) == 2043
-    assert list(oracle.nested_pairs_exhaustive(3)) == expected
+    actual = list(oracle.nested_pairs_exhaustive(3))
+    assert [g for g, _ in actual] == [g for g, _ in expected]
+    assert Counter(actual) == Counter(expected)
 
 
 def test_pair_failures_classifies_each_subgraph_once(exhaustive_pairs):
@@ -269,6 +307,37 @@ def test_random_nested_pair_is_valid():
 
 def test_weyl_commutation():
     assert weyl_commutation_failures(4, 2000, seed=5) == []
+
+
+def test_weyl_commutation_compares_the_seeded_draws(monkeypatch):
+    # the suite compares the pairs that rng.choice over the whole group draws
+    compared = []
+
+    def recording(w, g):
+        compared.append((g, w))
+        return weyl_act_graph(w, g)
+
+    monkeypatch.setattr(oracle, "weyl_act_graph", recording)
+    for n, seed in ((3, 83), (4, 5)):
+        compared.clear()
+        assert weyl_commutation_failures(n, 1000, seed) == []
+        rng = random.Random(seed)
+        group = list(weyl_group(n))
+        expected = []
+        for _ in range(1000):
+            g = random_bichromatic_graph(n, rng)
+            expected.append((g, rng.choice(group)))
+        assert compared == expected
+
+
+def test_weyl_commutation_catches_a_sign_blind_action(monkeypatch):
+    def sign_blind(w, g):
+        return weyl_act_graph(SignedPermutation(w.perm, (1,) * w.n), g)
+
+    monkeypatch.setattr(oracle, "weyl_act_graph", sign_blind)
+    failures = weyl_commutation_failures(3, 200, seed=89)
+    assert failures
+    assert all(line.startswith("weyl action mismatch: ") for line in failures)
 
 
 def test_verify_all_small():

@@ -20,7 +20,7 @@ from .crystal import (
 )
 from .graphs import ColouredGraph, Hyperplane, normal_lines, projectify
 from .quotient import _check_nested, _rewrite, quotient_graph
-from .rootsys import SignedPermutation, enumeration_limit, weyl_equivalent
+from .rootsys import SignedPermutation, weyl_equivalent
 
 
 def quotient_projective(g: ColouredGraph, gp: ColouredGraph) -> ColouredGraph:
@@ -59,17 +59,13 @@ def arrangements_equivalent(
     """A signed permutation carrying one arrangement onto the other, if any.
 
     Brute-force witness search used as an extra oracle next to the
-    structural classification; default limit n <= 4.  A signed permutation
-    carries Ker(v) to Ker(w(v)), so this is `weyl_equivalent` on the +-
-    normals, which must be root lines of B_n.
+    structural classification.  A signed permutation carries Ker(v) to
+    Ker(w(v)), so this is `weyl_equivalent` on the +- normals, which must be
+    root lines of B_n; its limit n <= rootsys.WEYL_LIMIT is the one bound.
     """
-    if n > enumeration_limit(4):
-        raise ValueError(f"n={n} exceeds the search limit {enumeration_limit(4)}")
-    if len(arrangement_a) != len(arrangement_b):
-        return None
     if any(len(h.normal) != n for h in arrangement_a | arrangement_b):
         raise ValueError(f"hyperplane normals must live in Q^{n}")
-    if not arrangement_a:
+    if not arrangement_a and not arrangement_b:
         return SignedPermutation.identity(n)
     return weyl_equivalent(normal_lines(arrangement_a), normal_lines(arrangement_b))
 

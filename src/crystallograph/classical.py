@@ -24,7 +24,7 @@ from .graphs import BICHROMATIC, RED, TRICHROMATIC, ColouredGraph, straight
 
 def _model(m: int, tag: str, detail=(), palette=BICHROMATIC) -> ColouredGraph:
     """The model graph of `tag` on nodes 1..m, as `crystal.model_edges` draws it."""
-    comp = Component(tuple(range(1, m + 1)), tag, (), detail)
+    comp = Component(tuple(range(1, m + 1)), tag, detail)
     return ColouredGraph(m, model_edges(comp), palette)
 
 

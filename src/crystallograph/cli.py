@@ -51,9 +51,7 @@ def _read_file(path: str) -> str:
 # builds something per node (a length-n vector for each root, the node
 # partition of the components), so `_load_graph` refuses a graph on more than
 # MAX_NODES nodes; `kernel` prints an n x n projection, which costs n^2
-# Fractions even on an edgeless graph, so it stops at KERNEL_MAX_N.  Both are
-# constants rather than `enumeration_limit`, whose CRYSTALLOGRAPH_MAX_N
-# override is sized for the exhaustive scans.
+# Fractions even on an edgeless graph, so it stops at KERNEL_MAX_N.
 MAX_NODES = 100_000
 KERNEL_MAX_N = 1000
 

@@ -91,7 +91,7 @@ from .graphs import (
     straight,
     weyl_act_graph,
 )
-from .rootsys import SignedPermutation, enumeration_limit
+from .rootsys import SignedPermutation
 
 
 class InconsistencyError(RuntimeError):
@@ -325,14 +325,20 @@ class Component:
     """One connected component with its model tag.
 
     `detail` records the designated node subsets a model needs beyond its
-    parameters: the two parts for Bipartite, the green- or blue-looped nodes
+    node count: the two parts for Bipartite, the green- or blue-looped nodes
     for the exotic tags.
     """
 
     nodes: tuple[int, ...]
     type: str
-    params: tuple[int, ...]
     detail: tuple[tuple[int, ...], ...] = ()
+
+    @property
+    def params(self) -> tuple[int, ...]:
+        """Part sizes: (m,), the two Bipartite parts, or (r, m - r) for r marked."""
+        sizes = tuple(len(part) for part in self.detail)
+        rest = len(self.nodes) - sum(sizes)
+        return sizes + (rest,) if rest else sizes
 
 
 @dataclass(frozen=True)
@@ -437,18 +443,18 @@ def _match_component(nodes: tuple[int, ...], edges: list[Edge], loop_palette: st
         candidate = None
     elif marked:
         at = tuple(sorted(looped[marked[0]]))
-        candidate = Component(nodes, tag, (len(at), m - len(at)), (at,))
+        candidate = Component(nodes, tag, (at,))
     elif tag != "D":
-        candidate = Component(nodes, tag, (m,))
+        candidate = Component(nodes, tag)
     elif not green_straight:  # loopless: A, D or Bipartite by the red parts
-        candidate = Component(nodes, "A", (m,))
+        candidate = Component(nodes, "A")
     else:
         parts = linked_parts(nodes, red_links)
         if len(parts) == 2:
             parts.sort(key=lambda p: (len(p), p[0]))
-            candidate = Component(nodes, "Bipartite", (len(parts[0]), len(parts[1])), tuple(parts))
+            candidate = Component(nodes, "Bipartite", tuple(parts))
         else:
-            candidate = Component(nodes, "D", (m,))
+            candidate = Component(nodes, "D")
 
     if candidate is not None and model_edges(candidate) == frozenset(edges):
         return candidate
@@ -562,7 +568,7 @@ def _classical_component_menu(m: int) -> list[tuple[str, ColouredGraph]]:
     """Classical connected models on m nodes, in tag order."""
     nodes = tuple(range(1, m + 1))
     tags = ("A", "B", "BC", "C", "D") if m >= 2 else ("A", "B", "BC", "C")
-    return [(tag, ColouredGraph(m, model_edges(Component(nodes, tag, (m,))))) for tag in tags]
+    return [(tag, ColouredGraph(m, model_edges(Component(nodes, tag)))) for tag in tags]
 
 
 @cache
@@ -645,12 +651,16 @@ def _weyl_orbit_representatives(n: int) -> list[ColouredGraph]:
     return [g for _, g in results]
 
 
+SCAN_LIMIT = 4  # 2^(n^2+n) masks: 2^20 at n = 4
+ORBIT_LIMIT = 5  # serialises every orbit's images: 9,044 graphs in 316 orbits at n = 5
+
+
 def enumerate_crystallographs(n: int, mode: str = "all"):
     """Stream graphs on n nodes passing the requested predicate.
 
-    mode "all" / "quasi" filter every bichromatic graph (limit n <= 4);
+    mode "all" / "quasi" filter every bichromatic graph (n <= SCAN_LIMIT);
     "up_to_weyl" yields one canonical representative per Weyl orbit of
-    crystallographs (limit n <= 5), built from the classification rather
+    crystallographs (n <= ORBIT_LIMIT), built from the classification rather
     than by scanning.  Output is sorted by canonical serialisation.
     """
     if mode not in ("all", "quasi", "up_to_weyl"):
@@ -658,12 +668,12 @@ def enumerate_crystallographs(n: int, mode: str = "all"):
     if n < 0:
         raise ValueError("node count must be >= 0")
     if mode == "up_to_weyl":
-        if n > enumeration_limit(5):
-            raise ValueError(f"n={n} exceeds the up_to_weyl limit {enumeration_limit(5)}")
+        if n > ORBIT_LIMIT:
+            raise ValueError(f"n={n} exceeds the up_to_weyl limit {ORBIT_LIMIT}")
         yield from _weyl_orbit_representatives(n)
         return
-    if n > enumeration_limit(4):
-        raise ValueError(f"n={n} exceeds the enumeration limit {enumeration_limit(4)}")
+    if n > SCAN_LIMIT:
+        raise ValueError(f"n={n} exceeds the enumeration limit {SCAN_LIMIT}")
     rules = closure_rules(n, CRYSTAL_PROPAGATING if mode == "all" else QUASI_PROPAGATING)
     found = [
         graph_from_slot_mask(n, mask) for mask in range(1 << (n * n + n)) if closed(mask, rules)

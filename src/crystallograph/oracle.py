@@ -29,6 +29,7 @@ from .arrange import classify_restricted_arrangement, verify_projectification_co
 from .crystal import (
     CRYSTAL_PROPAGATING,
     QUASI_PROPAGATING,
+    SCAN_LIMIT,
     Component,
     InconsistencyError,
     _mask_map_apply,
@@ -63,7 +64,6 @@ from .quotient import (
 from .rootsys import (
     Root,
     RootSet,
-    enumeration_limit,
     reflect,
     roots_a,
     roots_b,
@@ -159,11 +159,11 @@ def line_tables(n: int) -> LineTables:
 def enumerate_subsystems_bruteforce(n: int):
     """Every root subsystem of BC_n, found by reflection closure over masks.
 
-    Scans all 2^(n^2+n) symmetric subsets; limit n <= 4.  Yields frozensets
+    Scans all 2^(n^2+n) symmetric subsets; n <= SCAN_LIMIT.  Yields frozensets
     of roots in canonical (sorted-tuple) order.
     """
-    if n > enumeration_limit(4):
-        raise ValueError(f"n={n} exceeds the brute-force limit {enumeration_limit(4)}")
+    if n > SCAN_LIMIT:
+        raise ValueError(f"n={n} exceeds the brute-force limit {SCAN_LIMIT}")
     tables = line_tables(n)
     found = [
         tables.mask_to_roots(mask)
@@ -254,9 +254,9 @@ def random_crystallograph(n: int, rng: random.Random) -> ColouredGraph:
             picks = sorted(rng.sample(block, cut))
             rest = tuple(v for v in block if v not in picks)
             parts = sorted([tuple(picks), rest], key=lambda p: (len(p), p[0]))
-            comp = Component(block, tag, (len(parts[0]), len(parts[1])), tuple(parts))
+            comp = Component(block, tag, tuple(parts))
         else:
-            comp = Component(block, tag, (size,))
+            comp = Component(block, tag)
         edges |= model_edges(comp)
     return ColouredGraph(n, frozenset(edges))
 
@@ -280,13 +280,16 @@ def random_nested_pair(
     return g, gp
 
 
+PAIR_LIMIT = 3  # walks every sub-mask of every crystallograph: 2,043 pairs at n = 3
+
+
 def nested_pairs_exhaustive(n: int):
-    """Every nested crystallograph pair (gp classical) on n nodes; n <= 3.
+    """Every nested crystallograph pair (gp classical) on n nodes; n <= PAIR_LIMIT.
 
     gp runs over the sub-masks of g's slot mask that pass the closure rules.
     """
-    if n > enumeration_limit(3):
-        raise ValueError(f"n={n} exceeds the exhaustive pair limit {enumeration_limit(3)}")
+    if n > PAIR_LIMIT:
+        raise ValueError(f"n={n} exceeds the exhaustive pair limit {PAIR_LIMIT}")
     rules = closure_rules(n, CRYSTAL_PROPAGATING)
     for g in enumerate_crystallographs(n, "all"):
         g_mask = mask = slot_mask(g)
@@ -505,6 +508,9 @@ def cardinality_failures() -> list[str]:
     return failures
 
 
+VERIFY_LIMIT = 6  # weyl_commutation_failures walks all 2^n n! = 46080 elements at n = 6
+
+
 def verify_all(
     n: int,
     samples: int = 10000,
@@ -512,22 +518,22 @@ def verify_all(
 ) -> tuple[EnumerationSummary, list[str]]:
     """Run every theorem suite at scale n; failures are data, not errors.
 
-    Exhaustive below the per-suite limits (graph sweeps and the measured
-    Weyl orbit count at n <= 4, pair sweeps at n <= 3), seeded sampling
-    above.  The summary's `orbits` is always the closed form; at n <= 4 it
-    is also checked against the orbits counted from the sweep, while at
-    n >= 5 it is closed-form only.  Deterministic for a fixed seed
-    regardless of internal ordering.
+    Exhaustive up to the per-suite limits (graph sweeps and the measured
+    Weyl orbit count at n <= SCAN_LIMIT, pair sweeps at n <= PAIR_LIMIT),
+    seeded sampling above.  The summary's `orbits` is always the closed
+    form; at n <= 4 it is also checked against the orbits counted from the
+    sweep, while at n >= 5 it is closed-form only.  Deterministic for a
+    fixed seed regardless of internal ordering.
     """
-    if n > enumeration_limit(6):
-        raise ValueError(f"n={n} exceeds the verification limit {enumeration_limit(6)}")
+    if n > VERIFY_LIMIT:
+        raise ValueError(f"n={n} exceeds the verification limit {VERIFY_LIMIT}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     start = time.monotonic()
     failures: list[str] = []
     total_graphs = 1 << (n * n + n)
 
-    if n <= 4:
+    if n <= SCAN_LIMIT:
         checked, crystallographs, quasi_count, f = bijection_sweep(n)
         failures += f
         crystallograph_count = len(crystallographs)
@@ -550,7 +556,7 @@ def verify_all(
     failures += classification_failures(crystallographs)
     failures += kernel_failures(crystallographs)
 
-    if n <= 3:
+    if n <= PAIR_LIMIT:
         failures += pair_failures(nested_pairs_exhaustive(n))
     else:
         rng = random.Random(seed + 2)

@@ -23,26 +23,11 @@ indexed 0-based internally as usual.
 from __future__ import annotations
 
 import itertools
-import os
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 Root = tuple[int, ...]
 RootSet = frozenset[Root]
-
-MAX_N_ENV = "CRYSTALLOGRAPH_MAX_N"
-
-
-def enumeration_limit(default: int) -> int:
-    """Effective limit for exhaustive operations, overridable via env var."""
-    raw = os.environ.get(MAX_N_ENV)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{MAX_N_ENV} must be an integer, got {raw!r}") from None
-
 
 def dot(u: tuple[int, ...], v: tuple[int, ...]) -> int:
     if len(u) != len(v):
@@ -191,6 +176,9 @@ def weyl_apply(w: SignedPermutation, phi: frozenset[Root] | set[Root]) -> RootSe
     return frozenset(w.apply(alpha) for alpha in phi)
 
 
+WEYL_LIMIT = 6  # |W(BC_6)| = 46080 signed permutations
+
+
 def weyl_equivalent(
     phi: frozenset[Root] | set[Root],
     psi: frozenset[Root] | set[Root],
@@ -198,8 +186,7 @@ def weyl_equivalent(
     """Some w with w(phi) = psi, or None if the sets are not Weyl-equivalent.
 
     Searches the full group, pruning on cardinality and the multiset of
-    squared lengths (both are Weyl invariants).  Hard limit n <= 6
-    (|W(BC_6)| = 46080); raise it via CRYSTALLOGRAPH_MAX_N at your own risk.
+    squared lengths (both are Weyl invariants).  Fixed limit n <= WEYL_LIMIT.
     """
     validate_root_set(phi)
     validate_root_set(psi)
@@ -209,8 +196,8 @@ def weyl_equivalent(
     if not dims:
         return SignedPermutation.identity(0)
     n = dims.pop()
-    if n > enumeration_limit(6):
-        raise ValueError(f"n={n} exceeds the Weyl search limit {enumeration_limit(6)}")
+    if n > WEYL_LIMIT:
+        raise ValueError(f"n={n} exceeds the Weyl search limit {WEYL_LIMIT}")
     if len(phi) != len(psi):
         return None
     if sorted(dot(a, a) for a in phi) != sorted(dot(a, a) for a in psi):

@@ -217,13 +217,21 @@ def test_arrangements_equivalent_counts_hyperplanes_not_normals():
 
 
 def test_arrangements_equivalent_limit():
-    arr = arrangement_from_graph(projectify(classical.graph_a(5)))
-    with pytest.raises(ValueError):
-        arrangements_equivalent(arr, arr, 5)
-    # normals outside Q^n or outside B_n are errors, not a search
+    arr = arrangement_from_graph(projectify(classical.graph_a(7)))
+    with pytest.raises(ValueError, match="Weyl search limit 6"):
+        arrangements_equivalent(arr, arr, 7)
+    # below the Weyl search limit the search is answered, n = 5 included
+    a5 = arrangement_from_graph(projectify(classical.graph_a(5)))
+    assert arrangements_equivalent(a5, a5, 5) is not None
+    # normals outside Q^n or outside B_n are errors, not a search, whatever
+    # the other arrangement's size
     a3 = arrangement_from_graph(projectify(classical.graph_a(3)))
     with pytest.raises(ValueError):
         arrangements_equivalent(a3, a3, 2)
     odd = frozenset({Hyperplane((1, 2))})
     with pytest.raises(ValueError):
         arrangements_equivalent(odd, odd, 2)
+    with pytest.raises(ValueError, match="normals must live in Q"):
+        arrangements_equivalent(frozenset({Hyperplane((1, 0, 0))}), frozenset(), 2)
+    with pytest.raises(ValueError, match="not a BC root"):
+        arrangements_equivalent(odd, frozenset(), 2)

@@ -385,13 +385,6 @@ def test_enumerate_rejects_negative_node_count(capsys, mode):
     assert err == "error: node count must be >= 0\n"
 
 
-def test_max_n_env_error_names_the_variable(capsys, monkeypatch):
-    monkeypatch.setenv("CRYSTALLOGRAPH_MAX_N", "abc")
-    code, _, err = run(capsys, "enumerate", "--nodes", "2", "--count-only")
-    assert code == 1
-    assert err.startswith("error: ") and "CRYSTALLOGRAPH_MAX_N" in err
-
-
 def test_check_many_nodes_few_edges(capsys, tmp_path):
     n = 100_000
     edges = [{"kind": "straight", "i": a, "j": b, "colour": "R"}

@@ -3,10 +3,10 @@
 Each case applies one mutation to a valid input file and runs it through
 every subcommand that reads a file.  The exit status must be 0, 1 or 2, and
 on 1 stderr must be exactly one `error:` line.  `enumerate` and `verify`
-read no file; their argument and environment limits are named cases in
-`test_cli.py`.  Mutated graphs keep at most 10 nodes, so a case tests the
-boundary rather than the time and memory of the host: `classify` and `dot`
-do work linear in the declared node count even on an edgeless graph.
+read no file; their argument limits are named cases in `test_cli.py`.
+Mutated graphs keep at most 10 nodes, so a case tests the boundary rather
+than the time and memory of the host: `classify` and `dot` do work linear
+in the declared node count even on an edgeless graph.
 """
 
 from __future__ import annotations

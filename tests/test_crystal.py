@@ -384,13 +384,13 @@ def _models_by_edges(nodes, tags):
     candidates = []
     for tag in tags:
         if tag in ("BplusC", "CplusD", "ExoticBD"):
-            candidates += [Component(nodes, tag, (len(s), m - len(s)), (s,)) for s in subsets]
+            candidates += [Component(nodes, tag, (s,)) for s in subsets]
         elif tag == "Bipartite":
             for s in subsets:
                 rest = tuple(v for v in nodes if v not in s)
-                candidates.append(Component(nodes, tag, (len(s), len(rest)), (s, rest)))
+                candidates.append(Component(nodes, tag, (s, rest)))
         elif tag != "D" or m >= 2:
-            candidates.append(Component(nodes, tag, (m,)))
+            candidates.append(Component(nodes, tag))
     models: dict[frozenset, list[Component]] = {}
     for comp in candidates:
         models.setdefault(model_edges(comp), []).append(comp)

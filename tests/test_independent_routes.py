@@ -76,7 +76,7 @@ def test_the_check_sees_each_kind_of_borrowing():
     ]
     for source in sources:
         assert _borrowed(ast.parse(source)), source
-    assert _borrowed(ast.parse("from .rootsys import SignedPermutation, enumeration_limit")) == []
+    assert _borrowed(ast.parse("from .rootsys import SignedPermutation, Root")) == []
 
 
 def _line_tables_borrowed(tree: ast.AST) -> list[str]:

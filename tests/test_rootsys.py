@@ -7,7 +7,6 @@ from itertools import combinations
 
 import pytest
 
-from crystallograph import rootsys
 from crystallograph.rootsys import (
     SignedPermutation,
     is_root_subsystem,
@@ -194,11 +193,3 @@ def test_weyl_equivalent_limit():
     phi = frozenset({tuple([1] + [0] * 6), tuple([-1] + [0] * 6)})
     with pytest.raises(ValueError):
         weyl_equivalent(phi, phi)
-
-
-def test_enumeration_limit_env(monkeypatch):
-    assert rootsys.enumeration_limit(4) == 4
-    monkeypatch.setenv(rootsys.MAX_N_ENV, "2")
-    assert rootsys.enumeration_limit(4) == 2
-    monkeypatch.setenv(rootsys.MAX_N_ENV, "9")
-    assert rootsys.enumeration_limit(4) == 9

@@ -11,21 +11,21 @@ The classical bichromatic graphs on a node set S:
 plus the bipartite graphs (two red cliques joined by all-green edges), the
 two quasi-crystallograph families obtained by gluing green loops onto B or D,
 and the pairs-and-points subgraphs used to realise those families as
-quotients.  Trichromatic counterparts carry blue loops instead.  Each model
-is drawn by `crystal.model_edges` on nodes 1..m, the same edge sets that
-the classification checks components against.
+quotients.  Each is drawn by `crystal.model_edges` on nodes 1..m, the same
+edge sets that the classification checks components against.  The two
+projective models are `graphs.projectify` of B and of C+D.
 """
 
 from __future__ import annotations
 
 from .crystal import Component, model_edges
-from .graphs import BICHROMATIC, RED, TRICHROMATIC, ColouredGraph, straight
+from .graphs import RED, ColouredGraph, projectify, straight
 
 
-def _model(m: int, tag: str, detail=(), palette=BICHROMATIC) -> ColouredGraph:
+def _model(m: int, tag: str, detail=()) -> ColouredGraph:
     """The model graph of `tag` on nodes 1..m, as `crystal.model_edges` draws it."""
     comp = Component(tuple(range(1, m + 1)), tag, detail)
-    return ColouredGraph(m, model_edges(comp), palette)
+    return ColouredGraph(m, model_edges(comp))
 
 
 def graph_a(m: int) -> ColouredGraph:
@@ -80,9 +80,9 @@ def graph_pairs_and_points(r: int, s: int) -> ColouredGraph:
 
 def projective_graph_borc(m: int) -> ColouredGraph:
     """Simply-laced complete bichromatic plus a blue loop at every node."""
-    return _model(m, "BorC", palette=TRICHROMATIC)
+    return projectify(graph_b(m))
 
 
 def projective_graph_exotic_bd(r: int, s: int) -> ColouredGraph:
     """Simply-laced complete bichromatic on r+s nodes, blue loops at the first r."""
-    return _model(r + s, "ExoticBD", (tuple(range(1, r + 1)),), TRICHROMATIC)
+    return projectify(graph_c_plus_d(r, s))

@@ -10,27 +10,26 @@ a root subsystem is closed under its own reflections:
      of the opposite colour, and the same-colour loop at the far end.
 
 Quasi-crystallographs weaken rule 2 for green loops only: the straight edge
-still doubles but the green loop need not propagate.  Projective
-crystallographs are the trichromatic analogue where blue is the unique loop
-colour and propagates like a red loop.
+still doubles but the green loop need not propagate.  A projective
+crystallograph is read through `graphs.lift`: a trichromatic graph whose
+loops are all blue and whose lift (blue repainted red) is a crystallograph.
 
 Every graph is an integer mask over one slot layout, `all_edge_slots`: the
 n^2 + n bichromatic edges (straight pairs, then red and green loops), then
 the n blue loops.  `_slot` computes an edge's slot and is the only encoder;
 `slot_mask` ORs it over a graph's edges, and `graph_from_slot_mask` decodes
 a mask with the cached slot tuple of the graph's palette.  A bichromatic
-graph never sets a blue bit, so the scans over 2^(n^2+n) masks read the
-same slots either way.
+graph never sets a blue bit; the blue slots serve `orbit_canonical`.
 
 Both rules are Horn implications "slot s and slot t force these slots" over
-those slots: `closure_rules` lists the implications per slot, and `closed`
-checks a mask against them.  A blue loop is a loop like any other, so the
-projective predicate is the same check with blue propagating.  The full
-table has about 2n^3 entries, so a graph on more than `_TABLE_MAX_N` nodes
-is checked by `_edges_closed`, a loop over the implications between its
-own edges read from the same `_implications`; its cost follows its edges,
-not n.  The rules are written from the two statements above, never from
-reflections, so the sweeps in `oracle` still compare two independent
+the n^2 + n bichromatic slots, in two configurations: every loop colour
+propagating (crystallographs) or red only (quasi).  `closure_rules` lists
+the implications per slot, and `closed` checks a mask against them.  The
+full table has about 2n^3 entries, so a graph on more than `_TABLE_MAX_N`
+nodes is checked by `_edges_closed`, a loop over the implications between
+its own edges read from the same `_implications`; its cost follows its
+edges, not n.  The rules are written from the two statements above, never
+from reflections, so the sweeps in `oracle` still compare two independent
 routes.
 
 Every graph passing these predicates decomposes into connected components
@@ -47,7 +46,7 @@ classification itself is broken.
 
 Two graph-level answers are memoised, because every layer above asks for
 them again: `_graph_closed(g, propagating)`, the one closure check behind
-the three predicates, and `classify_components(g)`, the ComponentReport.
+the predicates, and `classify_components(g)`, the ComponentReport.
 A nested pair goes through five quotient routes, each testing both graphs
 and classifying the subgraph, and the kernel suite classifies each graph
 three times.  The key is the graph's value (node count, frozen edge set,
@@ -85,6 +84,7 @@ from .graphs import (
     disjoint_union,
     empty_graph,
     graph_to_json,
+    lift,
     linked_parts,
     loop,
     roots_from_graph,
@@ -123,7 +123,6 @@ def _slot(n: int, ends: tuple[int, ...], colour: str) -> int:
 
 CRYSTAL_PROPAGATING = frozenset((RED, GREEN))
 QUASI_PROPAGATING = frozenset((RED,))
-PROJECTIVE_PROPAGATING = frozenset((BLUE,))
 
 HornRules = tuple[tuple[tuple[int, int], ...], ...]
 
@@ -174,21 +173,20 @@ def _bits(slots: Iterable[int]) -> int:
 
 @cache
 def closure_rules(n: int, propagating: frozenset[str]) -> HornRules:
-    """Both closure rules as Horn implications over the n^2 + 2n edge slots
-    of `all_edge_slots(n, TRICHROMATIC)`.
+    """Both closure rules as Horn implications over the n^2 + n edge slots
+    of `all_edge_slots(n)`, the loop colours in `propagating` spreading.
 
     Entry s lists pairs (partner bit, required mask): a graph holding slot
     s and the partner must hold every slot of the required mask.  Each
     implication is listed once, under the later of its two premise slots,
-    with partners in increasing order.  A bichromatic mask never reaches
-    the n blue-loop rows at the end.  The table has about 2n^3 entries, so
-    it serves the small n of the exhaustive scans; larger graphs are
+    with partners in increasing order.  The table has about 2n^3 entries,
+    so it serves the small n of the exhaustive scans; larger graphs are
     checked with `_edges_closed`.
     """
     every = {v: range(1, n + 1) for v in range(1, n + 1)}
     return tuple(
         tuple(sorted((1 << t, _bits(req)) for t, req in _implications(n, propagating, e, every)))
-        for e in all_edge_slots(n, TRICHROMATIC)
+        for e in all_edge_slots(n)
     )
 
 
@@ -308,12 +306,10 @@ def is_quasi_crystallograph(g: ColouredGraph) -> bool:
 
 
 def is_projective_crystallograph(g: ColouredGraph) -> bool:
-    """Trichromatic closure: all loops blue, blue propagating like red."""
+    """Every loop blue, and `lift` (blue repainted red) a crystallograph."""
     if g.palette != TRICHROMATIC:
         raise ValueError("is_projective_crystallograph needs a trichromatic graph")
-    if any(e.is_loop and e.colour != BLUE for e in g.edges):
-        return False
-    return _graph_closed(g, PROJECTIVE_PROPAGATING)
+    return all(e.colour == BLUE for e in g.edges if e.is_loop) and is_crystallograph(lift(g))
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,6 @@ from .crystal import (
 from .graphs import (
     BICHROMATIC,
     ColouredGraph,
-    graph_from_roots,
     graph_to_json,
     roots_from_graph,
     weyl_act_graph,
@@ -404,30 +403,33 @@ def kernel_failures(graphs) -> list[str]:
     """kernel_basis span must equal the generic nullspace; projections behave."""
     failures = []
     for g in graphs:
-        if classify_components(g).has_bipartite():
-            continue
-        basis = kernel_basis(g)
-        roots = sorted(roots_from_graph(g))
-        generic = linalg.nullspace_basis(roots, g.n)
-        if not linalg.span_equal(basis.vectors, generic):
-            failures.append(f"kernel span mismatch: {graph_to_json(g)}")
-            continue
-        proj = orthogonal_projection(g)
-        if linalg.mat_mul(proj, proj) != proj:
-            failures.append(f"projection not idempotent: {graph_to_json(g)}")
-        if any(proj[i][j] != proj[j][i] for i in range(g.n) for j in range(g.n)):
-            failures.append(f"projection not symmetric: {graph_to_json(g)}")
-        # proj = P / D and vec = v / d, so proj.vec == vec iff P.v == D.v
-        P, D = linalg.clear_denominators(proj)
-        for vec in basis.vectors:
-            (v,), _ = linalg.clear_denominators([vec])
-            if any(sum(map(mul, row, v)) != D * x for row, x in zip(P, v)):
-                failures.append(f"projection moves a kernel vector: {graph_to_json(g)}")
-        columns = list(zip(*P))
-        for alpha in roots:
-            if any(sum(map(mul, alpha, col)) for col in columns):
-                failures.append(f"projection image not annihilated by {alpha}: {graph_to_json(g)}")
-                break
+        try:
+            if classify_components(g).has_bipartite():
+                continue
+            basis = kernel_basis(g)
+            roots = sorted(roots_from_graph(g))
+            generic = linalg.nullspace_basis(roots, g.n)
+            if not linalg.span_equal(basis.vectors, generic):
+                failures.append(f"kernel span mismatch: {graph_to_json(g)}")
+                continue
+            proj = orthogonal_projection(g)
+            if linalg.mat_mul(proj, proj) != proj:
+                failures.append(f"projection not idempotent: {graph_to_json(g)}")
+            if any(proj[i][j] != proj[j][i] for i in range(g.n) for j in range(g.n)):
+                failures.append(f"projection not symmetric: {graph_to_json(g)}")
+            # proj = P / D and vec = v / d, so proj.vec == vec iff P.v == D.v
+            P, D = linalg.clear_denominators(proj)
+            for vec in basis.vectors:
+                (v,), _ = linalg.clear_denominators([vec])
+                if any(sum(map(mul, row, v)) != D * x for row, x in zip(P, v)):
+                    failures.append(f"projection moves a kernel vector: {graph_to_json(g)}")
+            columns = list(zip(*P))
+            for alpha in roots:
+                if any(sum(map(mul, alpha, col)) for col in columns):
+                    failures.append(f"projection image not annihilated by {alpha}: {graph_to_json(g)}")
+                    break
+        except (InconsistencyError, ValueError) as exc:
+            failures.append(f"kernel check failed: {graph_to_json(g)}: {exc}")
     return failures
 
 
@@ -443,27 +445,30 @@ def pair_failures(pairs) -> list[str]:
     """Quotient theorem, quasi-ness, compatibility, and arrangement tags."""
     failures = []
     for g, gp in pairs:
-        if not verify_quotient_theorem(g, gp):
-            failures.append(f"quotient theorem fails: {_pair_label(g, gp)}")
-            continue
-        q = quotient_graph(g, gp)
-        if not is_quasi_crystallograph(q):
-            failures.append(f"quotient not quasi: {_pair_label(g, gp)}")
-        if not verify_projectification_compatibility(g, gp):
-            failures.append(f"projectification incompatible: {_pair_label(g, gp)}")
-        report = classify_restricted_arrangement(g, gp)
-        for comp in report.components:
-            if comp.type not in _ARRANGEMENT_TAGS_OK:
-                failures.append(f"unexpected arrangement tag {comp.type}: {_pair_label(g, gp)}")
-            if comp.type == "ExoticBD":
-                r, s = comp.params
-                if not 0 < r < r + s:
-                    failures.append(f"degenerate ExoticBD{comp.params}: {_pair_label(g, gp)}")
+        try:
+            if not verify_quotient_theorem(g, gp):
+                failures.append(f"quotient theorem fails: {_pair_label(g, gp)}")
+                continue
+            q = quotient_graph(g, gp)
+            if not is_quasi_crystallograph(q):
+                failures.append(f"quotient not quasi: {_pair_label(g, gp)}")
+            if not verify_projectification_compatibility(g, gp):
+                failures.append(f"projectification incompatible: {_pair_label(g, gp)}")
+            report = classify_restricted_arrangement(g, gp)
+            for comp in report.components:
+                if comp.type not in _ARRANGEMENT_TAGS_OK:
+                    failures.append(f"unexpected arrangement tag {comp.type}: {_pair_label(g, gp)}")
+                if comp.type == "ExoticBD":
+                    r, s = comp.params
+                    if not 0 < r < r + s:
+                        failures.append(f"degenerate ExoticBD{comp.params}: {_pair_label(g, gp)}")
+        except (InconsistencyError, ValueError) as exc:
+            failures.append(f"pair check failed: {_pair_label(g, gp)}: {exc}")
     return failures
 
 
 def weyl_commutation_failures(n: int, samples: int, seed: int) -> list[str]:
-    """The graph action must match the root action through the correspondence.
+    """w(g) must encode w applied to g's roots; `roots_from_graph` is injective.
 
     Samples are drawn as `random_bichromatic_graph` and `choice` would, twice:
     to pick what one walk over `weyl_group(n)` keeps, then to compare.
@@ -479,9 +484,7 @@ def weyl_commutation_failures(n: int, samples: int, seed: int) -> list[str]:
     failures = []
     for mask, i in draws():
         g, w = graph_from_slot_mask(n, mask), drawn[i]
-        via_roots = graph_from_roots(weyl_apply(w, roots_from_graph(g)), n)
-        via_graph = weyl_act_graph(w, g)
-        if via_roots != via_graph:
+        if weyl_apply(w, roots_from_graph(g)) != roots_from_graph(weyl_act_graph(w, g)):
             failures.append(f"weyl action mismatch: {graph_to_json(g)}")
     return failures
 

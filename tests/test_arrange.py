@@ -13,10 +13,6 @@ from crystallograph.arrange import (
     quotient_projective,
     verify_projectification_compatibility,
 )
-from crystallograph.crystal import (
-    is_crystallograph,
-    is_projective_crystallograph,
-)
 from crystallograph.graphs import (
     BLUE,
     GREEN,
@@ -33,6 +29,7 @@ from crystallograph.graphs import (
     roots_from_graph,
     straight,
 )
+from crystallograph.quotient import restricted_system
 
 
 def test_projectify_fuses_loop_colours():
@@ -72,23 +69,6 @@ def test_projectify_lift_inverse_laws():
         assert projectify(lift(p)) == p
         if not any(e.is_loop for e in g.edges):
             assert lift(projectify(g)) == g
-
-
-def test_projective_predicate_equals_lifted_crystallograph():
-    # exhaustive over all trichromatic graphs with R/G straights, B loops, n <= 3
-    for n in (1, 2, 3):
-        slots = []
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                slots.append(straight(i, j, RED))
-                slots.append(straight(i, j, GREEN))
-        for k in range(1, n + 1):
-            slots.append(loop(k, BLUE))
-        for mask in range(1 << len(slots)):
-            g = ColouredGraph(
-                n, frozenset(s for b, s in enumerate(slots) if mask >> b & 1), TRICHROMATIC
-            )
-            assert is_projective_crystallograph(g) == is_crystallograph(lift(g))
 
 
 def test_hyperplane_count_is_root_line_count():
@@ -151,6 +131,15 @@ def test_compatibility_examples():
                 projectify(classical.graph_d(n)), projectify(pairs)
             )
             assert lhs == projectify(classical.graph_c_plus_d(r, s))
+
+
+def test_projective_quotient_is_the_restricted_arrangement(exhaustive_pairs, sampled_pairs):
+    """P(g)/P(gp) against the linear side alone: its hyperplanes are the
+    kernels of the restricted covectors, with no rewrite on either side."""
+    for g, gp in [*exhaustive_pairs, *sampled_pairs[4], *sampled_pairs[5]]:
+        q = quotient_projective(projectify(g), projectify(gp))
+        covectors = restricted_system(g, gp).covectors
+        assert arrangement_from_graph(q) == {Hyperplane(v) for v in covectors}, (g, gp)
 
 
 def test_compatibility_exhaustive_n2():

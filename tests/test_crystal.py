@@ -11,7 +11,6 @@ import pytest
 from crystallograph import classical, crystal, oracle
 from crystallograph.crystal import (
     CRYSTAL_PROPAGATING,
-    PROJECTIVE_PROPAGATING,
     QUASI_PROPAGATING,
     Component,
     InconsistencyError,
@@ -128,15 +127,15 @@ def test_closure_rules_match_statement():
     """The Horn rules, rebuilt edge by edge from the two closure rules."""
     flipped = {RED: GREEN, GREEN: RED}
     for n in range(7):
-        slots = all_edge_slots(n, TRICHROMATIC)
+        slots = all_edge_slots(n)
         bit = {e: 1 << b for b, e in enumerate(slots)}
-        for e in all_edge_slots(n):
+        for e in slots:
             assert slot_mask(graph(n, [e])) == bit[e]
         for k in range(1, n + 1):
             assert slot_mask(graph(n, [loop(k, BLUE)], TRICHROMATIC)) == 1 << (n * n + n + k - 1)
         straights = [e for e in slots if not e.is_loop]
         loops = [e for e in slots if e.is_loop]
-        for propagating in (CRYSTAL_PROPAGATING, QUASI_PROPAGATING, PROJECTIVE_PROPAGATING):
+        for propagating in (CRYSTAL_PROPAGATING, QUASI_PROPAGATING):
             expected: list[set] = [set() for _ in slots]
 
             def implies(e, f, required):
@@ -187,24 +186,9 @@ def test_edges_closed_matches_full_table():
         # straight-edge case
         clique = classical.graph_a(n).edges
         graphs += [graph(n, clique - {drop}) for drop in clique]
-        projective = [
-            classical.projective_graph_borc(n), classical.projective_graph_exotic_bd(2, n - 2)
-        ]
-        tri_slots = all_edge_slots(n, TRICHROMATIC)
-        for _ in range(60):
-            k = rng.randrange(len(tri_slots) + 1)
-            projective.append(graph(n, rng.sample(tri_slots, k), TRICHROMATIC))
-        for g in projective[:2]:
-            edges = sorted(g.edges, key=str)
-            for drop in rng.sample(edges, min(5, len(edges))):
-                projective.append(graph(n, [e for e in edges if e != drop], TRICHROMATIC))
-        for propagating, cases in (
-            (CRYSTAL_PROPAGATING, graphs),
-            (QUASI_PROPAGATING, graphs),
-            (PROJECTIVE_PROPAGATING, projective),
-        ):
+        for propagating in (CRYSTAL_PROPAGATING, QUASI_PROPAGATING):
             table = closure_rules(n, propagating)
-            for g in cases:
+            for g in graphs:
                 assert crystal._edges_closed(g, propagating) == closed(slot_mask(g), table)
 
 
@@ -645,10 +629,6 @@ def test_memoised_answers_equal_direct_ones():
             assert classify_components(g) == expected, graph_to_json(g)
             assert classify_components(twin) == expected, graph_to_json(g)
     assert quasi == sum(oracle.count_quasi_crystallographs(n) for n in range(5))
-    for n in range(3):
-        for g in _trichromatic_graphs(n):
-            expected = closed_direct(g, PROJECTIVE_PROPAGATING)
-            assert crystal._graph_closed(g, PROJECTIVE_PROPAGATING) == expected, graph_to_json(g)
 
 
 def test_equal_graphs_share_memo_entries():

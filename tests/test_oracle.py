@@ -10,7 +10,8 @@ import pytest
 
 from crystallograph import classical, oracle
 from crystallograph.linalg import nullspace_basis
-from crystallograph.quotient import KernelBasis
+from crystallograph.arrange import verify_projectification_compatibility
+from crystallograph.quotient import KernelBasis, kernel_basis
 from crystallograph.crystal import (
     InconsistencyError,
     all_bichromatic_graphs,
@@ -54,6 +55,7 @@ from crystallograph.rootsys import (
     roots_a,
     roots_b,
     roots_bc,
+    weyl_apply,
     weyl_group,
 )
 
@@ -142,6 +144,26 @@ def test_nullspace_examples():
     assert kernel_failures(
         [classical.graph_a(3), classical.graph_b(2), ColouredGraph(3, [])]
     ) == []
+
+
+@pytest.mark.parametrize("error", [ValueError, InconsistencyError])
+def test_kernel_failures_reports_a_raising_graph_and_goes_on(
+    monkeypatch, crystallographs_small, error
+):
+    graphs = crystallographs_small[3]
+    checked = [g for g in graphs if not classify_components(g).has_bipartite()]
+    chosen = checked[len(checked) // 2]
+    reached = []
+
+    def raising_on_one(g):
+        reached.append(g)
+        if g == chosen:
+            raise error("planted")
+        return kernel_basis(g)
+
+    monkeypatch.setattr(oracle, "kernel_basis", raising_on_one)
+    assert kernel_failures(graphs) == [f"kernel check failed: {graph_to_json(chosen)}: planted"]
+    assert reached == checked
 
 
 def _third(*rows):
@@ -277,6 +299,26 @@ def test_pair_failures_labels_only_failing_pairs(monkeypatch):
     assert serialised == [g, gp]
 
 
+@pytest.mark.parametrize("error", [ValueError, InconsistencyError])
+def test_pair_failures_reports_a_raising_pair_and_goes_on(monkeypatch, error):
+    pairs = list(oracle.nested_pairs_exhaustive(2))
+    chosen = pairs[len(pairs) // 2]
+    reached = []
+
+    def raising_on_one(g, gp):
+        reached.append((g, gp))
+        if (g, gp) == chosen:
+            raise error("planted")
+        return verify_projectification_compatibility(g, gp)
+
+    monkeypatch.setattr(oracle, "verify_projectification_compatibility", raising_on_one)
+    g, gp = chosen
+    assert oracle.pair_failures(pairs) == [
+        f"pair check failed: {graph_to_json(g)} / {graph_to_json(gp)}: planted"
+    ]
+    assert reached == pairs
+
+
 def test_bijection_sampled_n5_n6():
     # graph predicate vs reflection-closure oracle on random graphs beyond
     # the exhaustive range
@@ -335,6 +377,17 @@ def test_weyl_commutation_catches_a_sign_blind_action(monkeypatch):
         return weyl_act_graph(SignedPermutation(w.perm, (1,) * w.n), g)
 
     monkeypatch.setattr(oracle, "weyl_act_graph", sign_blind)
+    failures = weyl_commutation_failures(3, 200, seed=89)
+    assert failures
+    assert all(line.startswith("weyl action mismatch: ") for line in failures)
+
+
+def test_weyl_commutation_reports_an_action_leaving_bc(monkeypatch):
+    # doubling the first coordinate sends e_1 - e_2 to 2e_1 - e_2, no BC root
+    def doubling(w, phi):
+        return frozenset((2 * alpha[0], *alpha[1:]) for alpha in weyl_apply(w, phi))
+
+    monkeypatch.setattr(oracle, "weyl_apply", doubling)
     failures = weyl_commutation_failures(3, 200, seed=89)
     assert failures
     assert all(line.startswith("weyl action mismatch: ") for line in failures)

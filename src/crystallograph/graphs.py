@@ -15,6 +15,9 @@ R/G straight edges and B loops encodes the sub-arrangement of the B_n/C_n
 hyperplane arrangement made of the kernels of the roots of lift(g), read
 through the table above and no second one.
 
+An Edge is the tuple (ends, colour), validated on construction, so it
+equals, hashes and orders like that plain tuple.
+
 Graphs are immutable values; equality is literal (same node count, same edge
 set).  The constructor freezes whatever edge iterable it is given, so every
 graph hashes and can key a cache.  The canonical JSON form and the DOT
@@ -24,6 +27,7 @@ export are byte-deterministic.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from math import gcd
@@ -41,20 +45,19 @@ _COLOUR_FLIP = {RED: GREEN, GREEN: RED}
 _DOT_COLOUR = {RED: "red", GREEN: "green", BLUE: "blue"}
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(namedtuple("Edge", "ends colour")):
     """A coloured edge: ends is (i, j) with i < j for straight, (k,) for a loop."""
 
-    ends: tuple[int, ...]
-    colour: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.ends) not in (1, 2):
-            raise ValueError(f"edge must have one or two endpoints: {self.ends}")
-        if len(self.ends) == 2 and not self.ends[0] < self.ends[1]:
-            raise ValueError(f"straight edge endpoints must satisfy i < j: {self.ends}")
-        if self.colour not in (RED, GREEN, BLUE):
-            raise ValueError(f"unknown colour: {self.colour!r}")
+    def __new__(cls, ends: tuple[int, ...], colour: str) -> Edge:
+        if len(ends) not in (1, 2):
+            raise ValueError(f"edge must have one or two endpoints: {ends}")
+        if len(ends) == 2 and not ends[0] < ends[1]:
+            raise ValueError(f"straight edge endpoints must satisfy i < j: {ends}")
+        if colour not in (RED, GREEN, BLUE):
+            raise ValueError(f"unknown colour: {colour!r}")
+        return super().__new__(cls, ends, colour)
 
     @property
     def is_loop(self) -> bool:
@@ -91,9 +94,11 @@ class ColouredGraph:
             raise ValueError("node count must be >= 0")
         if self.palette not in (BICHROMATIC, TRICHROMATIC):
             raise ValueError(f"unknown palette: {self.palette!r}")
+        n = self.n
         for e in self.edges:
-            if any(not 1 <= v <= self.n for v in e.ends):
-                raise ValueError(f"edge {e} out of node range 1..{self.n}")
+            # the ends are sorted, so the first and last bound them all
+            if not (e.ends[0] >= 1 and e.ends[-1] <= n):
+                raise ValueError(f"edge {e} out of node range 1..{n}")
             if e.colour == BLUE and (self.palette == BICHROMATIC or not e.is_loop):
                 raise ValueError(f"blue is only legal on trichromatic loops: {e}")
 
@@ -120,17 +125,21 @@ def roots_from_graph(g: ColouredGraph) -> RootSet:
     """The symmetric subset of BC_n encoded by a bichromatic graph."""
     if g.palette != BICHROMATIC:
         raise ValueError("roots_from_graph needs a bichromatic graph")
+    n = g.n
     out: set[Root] = set()
-    for e in g.edges:
-        v = [0] * g.n
-        if e.is_loop:
-            v[e.ends[0] - 1] = 1 if e.colour == RED else 2
+    for ends, colour in g.edges:
+        pos = [0] * n
+        neg = [0] * n
+        if len(ends) == 1:
+            k = ends[0] - 1
+            pos[k] = 1 if colour == RED else 2
+            neg[k] = -pos[k]
         else:
-            i, j = e.ends
-            v[i - 1] = 1
-            v[j - 1] = -1 if e.colour == RED else 1
-        out.add(tuple(v))
-        out.add(tuple(-c for c in v))
+            i, j = ends[0] - 1, ends[1] - 1
+            pos[i], neg[i] = 1, -1
+            pos[j], neg[j] = (-1, 1) if colour == RED else (1, -1)
+        out.add(tuple(pos))
+        out.add(tuple(neg))
     return frozenset(out)
 
 

@@ -168,6 +168,20 @@ def test_closure_rules_match_statement():
             assert closure_rules(n, propagating) == tuple(tuple(sorted(r)) for r in expected)
 
 
+def test_quasi_rules_are_weakened_crystal_rules():
+    """Each quasi implication is a crystal one with the same premises and a
+    subset of its required slots, so a mask the quasi rules reject the
+    crystal rules reject too: `oracle.bijection_sweep` runs the crystal
+    rules only on quasi-closed masks on the strength of this."""
+    for n in range(1, 9):
+        crystal_rules = closure_rules(n, CRYSTAL_PROPAGATING)
+        for s, row in enumerate(closure_rules(n, QUASI_PROPAGATING)):
+            for partner, required in row:
+                assert any(
+                    p == partner and required & ~r == 0 for p, r in crystal_rules[s]
+                ), (n, s, partner, required)
+
+
 def test_edges_closed_matches_full_table():
     """The edge-by-edge check used on large graphs gives the table's answer."""
     rng = random.Random(11)

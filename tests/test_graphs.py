@@ -49,9 +49,26 @@ def test_edge_validation():
         loop(1, "purple")
 
 
+def test_edge_is_its_plain_tuple():
+    e = straight(1, 2, RED)
+    # CLI error lines embed this repr
+    assert repr(e) == "Edge(ends=(1, 2), colour='R')"
+    with pytest.raises(AttributeError):
+        e.colour = GREEN
+    twin = Edge((1, 2), RED)
+    assert twin == e and twin is not e
+    assert hash(e) == hash((e.ends, e.colour))
+
+
 def test_graph_validation():
     with pytest.raises(ValueError):
         graph(1, [loop(2, RED)])
+    with pytest.raises(ValueError):
+        graph(1, [loop(0, RED)])
+    with pytest.raises(ValueError):
+        graph(2, [straight(0, 1, RED)])
+    with pytest.raises(ValueError):
+        graph(2, [straight(1, 3, GREEN)])
     with pytest.raises(ValueError):
         graph(2, [loop(1, BLUE)])  # blue needs the trichromatic palette
     with pytest.raises(ValueError):

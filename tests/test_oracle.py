@@ -13,10 +13,13 @@ from crystallograph.linalg import nullspace_basis
 from crystallograph.arrange import verify_projectification_compatibility
 from crystallograph.quotient import KernelBasis, kernel_basis
 from crystallograph.crystal import (
+    CRYSTAL_PROPAGATING,
+    QUASI_PROPAGATING,
     InconsistencyError,
     all_bichromatic_graphs,
     all_edge_slots,
     classify_components,
+    closure_rules,
     enumerate_crystallographs,
     is_crystallograph,
     orbit_canonical,
@@ -239,6 +242,30 @@ def test_bijection_sweep_small(sweep3):
     assert len(sweep3["crystallographs"]) == 144
     assert sweep3["quasi"] == 204
     assert sweep3["failures"] == []
+
+
+def test_bijection_sweep_gates_only_the_crystal_rules(monkeypatch):
+    # every mask meets the quasi rules and the oracle; only the quasi-closed
+    # ones meet the crystal rules
+    rule_names = {
+        id(closure_rules(3, QUASI_PROPAGATING)): "quasi",
+        id(closure_rules(3, CRYSTAL_PROPAGATING)): "crystal",
+    }
+    calls = Counter()
+    real_closed, real_is_subsystem = oracle.closed, LineTables.is_subsystem
+
+    def counting_closed(mask, rules):
+        calls[rule_names.get(id(rules), "other")] += 1
+        return real_closed(mask, rules)
+
+    def counting_is_subsystem(tables, mask):
+        calls["roots"] += 1
+        return real_is_subsystem(tables, mask)
+
+    monkeypatch.setattr(oracle, "closed", counting_closed)
+    monkeypatch.setattr(LineTables, "is_subsystem", counting_is_subsystem)
+    bijection_sweep(3)
+    assert calls == {"quasi": 4096, "crystal": count_quasi_crystallographs(3), "roots": 4096}
 
 
 def test_bijection_sweep_reports_mismatches(monkeypatch):

@@ -54,7 +54,9 @@ palette), so equal graphs built apart share an entry; exceptions are not
 cached.  Each memo is a `functools.lru_cache` of `_MEMO_SIZE` entries:
 the repeats come close together, and an unbounded memo, or one kept on
 each graph, would hold on to the graphs of a whole sweep and raise the
-peak memory of `verify`.
+peak memory of `verify`.  The sweep-long memo of the `oracle` suites,
+which skips repeated draws, is keyed by slot-mask ints for the same reason
+(see `oracle._replayed_failures`).
 
 Weyl orbits are found on slot masks too.  A signed permutation permutes the
 slots of a graph's palette, so each Coxeter generator of W(BC_n) is one

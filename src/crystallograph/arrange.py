@@ -5,20 +5,16 @@ short and long loop at a node fuse into one blue loop (`graphs.projectify`).
 Projectification commutes with quotients, and the projectified quotients
 realise every restricted hyperplane arrangement.
 
-The projective quotient checks its own preconditions and then runs the one
-rewrite of `quotient`, whose loops come out blue on a trichromatic graph.
+The projective quotient is read through `graphs.lift`: it checks the lifted
+pair, runs the one rewrite of `quotient` on it and projectifies the result.
 Equivalence of arrangements is the Weyl search of `rootsys` on the root
 lines of their normals.
 """
 
 from __future__ import annotations
 
-from .crystal import (
-    ComponentReport,
-    classify_projective_components,
-    is_projective_crystallograph,
-)
-from .graphs import ColouredGraph, Hyperplane, normal_lines, projectify
+from .crystal import ComponentReport, classify_projective_components, is_crystallograph
+from .graphs import ColouredGraph, Hyperplane, lift, normal_lines, projectify
 from .quotient import _check_nested, _rewrite, quotient_graph
 from .rootsys import SignedPermutation, weyl_equivalent
 
@@ -26,17 +22,19 @@ from .rootsys import SignedPermutation, weyl_equivalent
 def quotient_projective(g: ColouredGraph, gp: ColouredGraph) -> ColouredGraph:
     """Quotient of nested projective crystallographs.
 
-    Same rewrite as the bichromatic quotient, except every rule that made
-    a loop (green edge inside a part, edge into a non-red component, loop in
-    a part) now makes a single blue loop.
+    `projectify` of the bichromatic rewrite of the lifted pair (blue loops
+    repainted red), so every loop the rules make comes out one blue loop.
+    The red parts are those of gp's projective classification.
     """
     _check_nested(g, gp)
-    if not is_projective_crystallograph(g) or not is_projective_crystallograph(gp):
+    lg, lgp = lift(g), lift(gp)
+    if not is_crystallograph(lg) or not is_crystallograph(lgp):
         raise ValueError("both inputs must be projective crystallographs")
     report = classify_projective_components(gp)
     if report.has_bipartite():
         raise ValueError("gp has a bipartite component; quotient needs classical form")
-    return _rewrite(g, gp, [c.nodes for c in report.components if c.type == "A"])
+    parts = [c.nodes for c in report.components if c.type == "A"]
+    return projectify(_rewrite(lg, lgp, parts))
 
 
 def verify_projectification_compatibility(g: ColouredGraph, gp: ColouredGraph) -> bool:

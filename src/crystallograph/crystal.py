@@ -42,7 +42,10 @@ exactly the `detail` nodes.  `model_edges` draws a model from the table;
 into components, look each component's loop pattern up in the same table
 inverted (a loopless one is A, D or Bipartite by its red parts), and raise
 unless the component equals the model drawn, which would mean the
-classification itself is broken.
+classification itself is broken.  The matcher has no palette: the loop
+colours alone pick the bichromatic or the blue-looped models, once
+`classify_projective_components` has refused a graph with any red or green
+loop.
 
 Two graph-level answers are memoised, because every layer above asks for
 them again: `_graph_closed(g, propagating)`, the one closure check behind
@@ -411,11 +414,10 @@ def _split_components(g: ColouredGraph) -> list[tuple[tuple[int, ...], list[Edge
     return list(zip(parts, edges))
 
 
-def _match_component(nodes: tuple[int, ...], edges: list[Edge], loop_palette: str) -> Component:
+def _match_component(nodes: tuple[int, ...], edges: list[Edge]) -> Component:
     """Identify the model of one connected component, verifying edge-exactness.
 
-    loop_palette is BICHROMATIC for quasi-crystallograph components or
-    TRICHROMATIC for projectified ones (blue loops).
+    Its loops are red and green, or all blue; their colours pick the models.
     """
     m = len(nodes)
     looped: dict[str, list[int]] = {}
@@ -428,8 +430,6 @@ def _match_component(nodes: tuple[int, ...], edges: list[Edge], loop_palette: st
             red_links.append(e.ends)
         else:
             green_straight = True
-    if loop_palette == TRICHROMATIC and (RED in looped or GREEN in looped):
-        raise ValueError(f"component {nodes} carries non-blue loops")
 
     # the loop pattern: colours looping at every node, and at most one more
     # looping at a proper nonempty subset
@@ -470,19 +470,19 @@ def classify_components(g: ColouredGraph) -> ComponentReport:
     """
     if not is_quasi_crystallograph(g):
         raise ValueError("classify_components needs a quasi-crystallograph")
-    return ComponentReport(
-        tuple(_match_component(p, edges, BICHROMATIC) for p, edges in _split_components(g))
-    )
+    return ComponentReport(tuple(_match_component(p, edges) for p, edges in _split_components(g)))
 
 
 def classify_projective_components(g: ColouredGraph) -> ComponentReport:
     """Decompose a projectified quasi-crystallograph into typed components."""
     if g.palette != TRICHROMATIC:
         raise ValueError("classify_projective_components needs a trichromatic graph")
+    if any(e.colour != BLUE for e in g.edges if e.is_loop):
+        raise ValueError("graph carries non-blue loops")
     out = []
     for p, edges in _split_components(g):
         try:
-            out.append(_match_component(p, edges, TRICHROMATIC))
+            out.append(_match_component(p, edges))
         except InconsistencyError:
             raise ValueError(
                 f"component {p} matches no projective model; "

@@ -8,9 +8,8 @@ the leftover edges by four local rules; the restricted system evaluates the
 leftover roots on the vectors e_{I_j} instead, giving an independent
 linear-algebra route to the same answer.
 
-The rewrite is one loop, `_rewrite`, shared with the projective quotient of
-`arrange`: its loops are painted by the rules on a bichromatic graph and
-blue on a trichromatic one.
+The rewrite is one loop, `_rewrite`, on bichromatic graphs only; the
+projective quotient of `arrange` is `projectify` of it on the lifted pair.
 """
 
 from __future__ import annotations
@@ -20,16 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .crystal import InconsistencyError, classify_components, is_crystallograph
-from .graphs import (
-    BLUE,
-    GREEN,
-    RED,
-    TRICHROMATIC,
-    ColouredGraph,
-    loop,
-    roots_from_graph,
-    straight,
-)
+from .graphs import GREEN, RED, ColouredGraph, loop, roots_from_graph, straight
 from .linalg import RationalMatrix, RationalVector
 from .rootsys import is_bc_root
 
@@ -130,10 +120,8 @@ def _nested_parts(g: ColouredGraph, gp: ColouredGraph) -> list[tuple[int, ...]]:
 def _rewrite(g: ColouredGraph, gp: ColouredGraph, parts) -> ColouredGraph:
     """The quotient graph of g by gp on the given red parts of gp.
 
-    The rules are those of `quotient_graph`; on a trichromatic g every loop
-    they make is blue, and the quotient is trichromatic too.
+    The rules are those of `quotient_graph`; g and gp are bichromatic.
     """
-    blue = g.palette == TRICHROMATIC
     part_of: dict[int, int] = {}
     for index, part in enumerate(parts, start=1):
         for v in part:
@@ -143,7 +131,7 @@ def _rewrite(g: ColouredGraph, gp: ColouredGraph, parts) -> ColouredGraph:
         if e.is_loop:
             p = part_of.get(e.ends[0])
             if p is not None:
-                edges.add(loop(p, BLUE if blue else e.colour))
+                edges.add(loop(p, e.colour))
             continue
         a, b = e.ends
         pa, pb = part_of.get(a), part_of.get(b)
@@ -151,13 +139,13 @@ def _rewrite(g: ColouredGraph, gp: ColouredGraph, parts) -> ColouredGraph:
             if pa != pb:
                 edges.add(straight(pa, pb, e.colour))
             elif e.colour == GREEN:
-                edges.add(loop(pa, BLUE if blue else GREEN))
+                edges.add(loop(pa, GREEN))
             else:
                 # a red edge inside a part would already belong to gp's clique
                 raise InconsistencyError(f"red edge {e} inside a red component of gp")
         elif pa is not None or pb is not None:
-            edges.add(loop(pb if pa is None else pa, BLUE if blue else RED))
-    return ColouredGraph(len(parts), frozenset(edges), g.palette)
+            edges.add(loop(pb if pa is None else pa, RED))
+    return ColouredGraph(len(parts), frozenset(edges))
 
 
 def quotient_graph(g: ColouredGraph, gp: ColouredGraph) -> ColouredGraph:

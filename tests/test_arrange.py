@@ -29,7 +29,7 @@ from crystallograph.graphs import (
     roots_from_graph,
     straight,
 )
-from crystallograph.quotient import restricted_system
+from crystallograph.quotient import quotient_graph, restricted_system
 
 
 def test_projectify_fuses_loop_colours():
@@ -113,6 +113,10 @@ def test_quotient_projective_preconditions():
     bip = projectify(classical.graph_bipartite(1, 1))
     with pytest.raises(ValueError):
         quotient_projective(bip, bip)
+    red_looped = ColouredGraph(2, classical.graph_b(2).edges, TRICHROMATIC)
+    for g, gp in [(red_looped, empty_graph(2, TRICHROMATIC)), (red_looped, red_looped)]:
+        with pytest.raises(ValueError):
+            quotient_projective(g, gp)
 
 
 def test_compatibility_examples():
@@ -135,11 +139,14 @@ def test_compatibility_examples():
 
 def test_projective_quotient_is_the_restricted_arrangement(exhaustive_pairs, sampled_pairs):
     """P(g)/P(gp) against the linear side alone: its hyperplanes are the
-    kernels of the restricted covectors, with no rewrite on either side."""
+    kernels of the restricted covectors, with no rewrite on either side.
+    It is also the bichromatic quotient of the lifted pair, projectified."""
     for g, gp in [*exhaustive_pairs, *sampled_pairs[4], *sampled_pairs[5]]:
-        q = quotient_projective(projectify(g), projectify(gp))
+        pg, pgp = projectify(g), projectify(gp)
+        q = quotient_projective(pg, pgp)
         covectors = restricted_system(g, gp).covectors
         assert arrangement_from_graph(q) == {Hyperplane(v) for v in covectors}, (g, gp)
+        assert q == projectify(quotient_graph(lift(pg), lift(pgp))), (g, gp)
 
 
 def test_compatibility_exhaustive_n2():

@@ -82,7 +82,7 @@ class _load_graph:
 def test_inconsistency_is_not_an_input_error(capsys, monkeypatch, tmp_path, argv):
     """A component matching no model falsifies the theorem; the CLI says so."""
 
-    def falsified(nodes, edges, palette):
+    def falsified(nodes, edges):
         raise InconsistencyError(f"component {nodes} matches no model graph")
 
     files = {"G": classical.graph_d(4), "GP": graph(4, [straight(1, 2, RED)])}

@@ -438,9 +438,9 @@ def test_classification_matches_brute_force_models_n3():
                         assert [c for c in report.components if c.nodes == nodes] == [expected]
                 elif expected is None:
                     with pytest.raises(InconsistencyError, match="matches no model graph"):
-                        crystal._match_component(nodes, edges, g.palette)
+                        crystal._match_component(nodes, edges)
                 else:
-                    assert crystal._match_component(nodes, edges, g.palette) == expected
+                    assert crystal._match_component(nodes, edges) == expected
                 found.append(expected)
             if not projective and is_quasi_crystallograph(g):
                 assert classify_components(g).components == tuple(found)

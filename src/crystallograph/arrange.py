@@ -5,17 +5,17 @@ short and long loop at a node fuse into one blue loop (`graphs.projectify`).
 Projectification commutes with quotients, and the projectified quotients
 realise every restricted hyperplane arrangement.
 
-The projective quotient is read through `graphs.lift`: it checks the lifted
-pair, runs the one rewrite of `quotient` on it and projectifies the result.
+The projective quotient is `projectify` of the one rewrite of `quotient` on
+the pair lifted by `graphs.lift`, with the lifted pair's checks and red parts.
 Equivalence of arrangements is the Weyl search of `rootsys` on the root
 lines of their normals.
 """
 
 from __future__ import annotations
 
-from .crystal import ComponentReport, classify_projective_components, is_crystallograph
+from .crystal import ComponentReport, classify_projective_components
 from .graphs import ColouredGraph, Hyperplane, lift, normal_lines, projectify
-from .quotient import _check_nested, _rewrite, quotient_graph
+from .quotient import _nested_parts, _rewrite, quotient_graph
 from .rootsys import SignedPermutation, weyl_equivalent
 
 
@@ -23,18 +23,11 @@ def quotient_projective(g: ColouredGraph, gp: ColouredGraph) -> ColouredGraph:
     """Quotient of nested projective crystallographs.
 
     `projectify` of the bichromatic rewrite of the lifted pair (blue loops
-    repainted red), so every loop the rules make comes out one blue loop.
-    The red parts are those of gp's projective classification.
+    repainted green), so every loop the rules make comes out one blue loop.
+    The lifted pair is checked and split into red parts by `_nested_parts`.
     """
-    _check_nested(g, gp)
     lg, lgp = lift(g), lift(gp)
-    if not is_crystallograph(lg) or not is_crystallograph(lgp):
-        raise ValueError("both inputs must be projective crystallographs")
-    report = classify_projective_components(gp)
-    if report.has_bipartite():
-        raise ValueError("gp has a bipartite component; quotient needs classical form")
-    parts = [c.nodes for c in report.components if c.type == "A"]
-    return projectify(_rewrite(lg, lgp, parts))
+    return projectify(_rewrite(lg, lgp, _nested_parts(lg, lgp)))
 
 
 def verify_projectification_compatibility(g: ColouredGraph, gp: ColouredGraph) -> bool:

@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 from . import arrange, crystal, oracle, quotient
 from .crystal import InconsistencyError
@@ -230,6 +231,8 @@ def _add_graph_input(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--nodes", type=int, default=None, help="ambient dimension for --roots")
 
 
+# built on first use, not at import, then reused by every `main` call
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crystallograph",

@@ -12,7 +12,7 @@ a root subsystem is closed under its own reflections:
 Quasi-crystallographs weaken rule 2 for green loops only: the straight edge
 still doubles but the green loop need not propagate.  A projective
 crystallograph is read through `graphs.lift`: a trichromatic graph whose
-loops are all blue and whose lift (blue repainted red) is a crystallograph.
+loops are all blue and whose lift (blue repainted green) is a crystallograph.
 
 Every graph is an integer mask over one slot layout, `all_edge_slots`: the
 n^2 + n bichromatic edges (straight pairs, then red and green loops), then
@@ -38,23 +38,22 @@ from A (a red clique) and Bipartite (red parts, green across), every model
 has both straight colours on every pair and is named by its loops: the
 colours looping at every node and the one colour, if any, looping at
 exactly the `detail` nodes.  `model_edges` draws a model from the table;
-`classify_components` and `classify_projective_components` split the graph
-into components, look each component's loop pattern up in the same table
-inverted (a loopless one is A, D or Bipartite by its red parts), and raise
-unless the component equals the model drawn, which would mean the
-classification itself is broken.  The matcher has no palette: the loop
-colours alone pick the bichromatic or the blue-looped models, once
-`classify_projective_components` has refused a graph with any red or green
-loop.
+`classify_components` splits the graph into components, looks each
+component's loop pattern up in the same table inverted (a loopless one is
+A, D or Bipartite by its red parts), and raises unless the component equals
+the model drawn, which would mean the classification itself is broken.
+Both speak only red and green: `classify_projective_components` classifies
+`lift(g)` and names its C components BorC and its CplusD ones ExoticBD.
 
 Two graph-level answers are memoised, because every layer above asks for
 them again: `_graph_closed(g, propagating)`, the one closure check behind
 the predicates, and `classify_components(g)`, the ComponentReport.
-A nested pair goes through five quotient routes, each testing both graphs
-and classifying the subgraph, and the kernel suite classifies each graph
-three times.  The key is the graph's value (node count, frozen edge set,
-palette), so equal graphs built apart share an entry; exceptions are not
-cached.  Each memo is a `functools.lru_cache` of `_MEMO_SIZE` entries:
+A nested pair goes through six quotient routes, each testing both graphs
+and classifying the subgraph, and one projective classification; the kernel
+suite classifies each graph three times.  The key is the graph's value
+(node count, frozen edge set, palette), so equal graphs built apart share an
+entry; exceptions are not cached.
+Each memo is a `functools.lru_cache` of `_MEMO_SIZE` entries:
 the repeats come close together, and an unbounded memo, or one kept on
 each graph, would hold on to the graphs of a whole sweep and raise the
 peak memory of `verify`.  The sweep-long memo of the `oracle` suites,
@@ -72,7 +71,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, lru_cache
 from itertools import combinations
 
@@ -311,7 +310,7 @@ def is_quasi_crystallograph(g: ColouredGraph) -> bool:
 
 
 def is_projective_crystallograph(g: ColouredGraph) -> bool:
-    """Every loop blue, and `lift` (blue repainted red) a crystallograph."""
+    """Every loop blue, and `lift` (blue repainted green) a crystallograph."""
     if g.palette != TRICHROMATIC:
         raise ValueError("is_projective_crystallograph needs a trichromatic graph")
     return all(e.colour == BLUE for e in g.edges if e.is_loop) and is_crystallograph(lift(g))
@@ -376,10 +375,10 @@ _LOOP_MODELS: dict[str, tuple[frozenset[str], str | None]] = {
     "BC": (frozenset((RED, GREEN)), None),
     "BplusC": (frozenset((RED,)), GREEN),
     "CplusD": (frozenset(), GREEN),
-    "BorC": (frozenset((BLUE,)), None),
-    "ExoticBD": (frozenset(), BLUE),
 }
 _TAG_OF_LOOPS = {loops: tag for tag, loops in _LOOP_MODELS.items()}
+# a blue loop lifts to green, so BorC lifts to C and ExoticBD to CplusD
+_PROJECTIVE_TAG = {"C": "BorC", "CplusD": "ExoticBD"}
 
 
 def model_edges(comp: Component) -> frozenset[Edge]:
@@ -417,7 +416,7 @@ def _split_components(g: ColouredGraph) -> list[tuple[tuple[int, ...], list[Edge
 def _match_component(nodes: tuple[int, ...], edges: list[Edge]) -> Component:
     """Identify the model of one connected component, verifying edge-exactness.
 
-    Its loops are red and green, or all blue; their colours pick the models.
+    Its loops are red and green; their colours pick the model.
     """
     m = len(nodes)
     looped: dict[str, list[int]] = {}
@@ -474,21 +473,15 @@ def classify_components(g: ColouredGraph) -> ComponentReport:
 
 
 def classify_projective_components(g: ColouredGraph) -> ComponentReport:
-    """Decompose a projectified quasi-crystallograph into typed components."""
-    if g.palette != TRICHROMATIC:
-        raise ValueError("classify_projective_components needs a trichromatic graph")
-    if any(e.colour != BLUE for e in g.edges if e.is_loop):
-        raise ValueError("graph carries non-blue loops")
-    out = []
-    for p, edges in _split_components(g):
-        try:
-            out.append(_match_component(p, edges))
-        except InconsistencyError:
-            raise ValueError(
-                f"component {p} matches no projective model; "
-                "not a projectification of a quasi-crystallograph"
-            ) from None
-    return ComponentReport(tuple(out))
+    """Decompose a projectified quasi-crystallograph into typed components:
+    those of `lift(g)`, with C named BorC and CplusD named ExoticBD."""
+    lg = lift(g)
+    if not is_quasi_crystallograph(lg):
+        raise ValueError("not a projectification of a quasi-crystallograph")
+    comps = classify_components(lg).components
+    return ComponentReport(
+        tuple(replace(c, type=_PROJECTIVE_TAG.get(c.type, c.type)) for c in comps)
+    )
 
 
 # ---------------------------------------------------------------------------

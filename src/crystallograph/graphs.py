@@ -10,10 +10,11 @@ endpoint set.  It encodes a symmetric subset of BC_n:
 A trichromatic graph additionally allows blue (B), but only on loops.  A
 blue loop is a red or green loop whose length is forgotten, since
 Ker(e_k) = Ker(2 e_k): `projectify` fuses the loops at a node into one blue
-loop and `lift` repaints each blue loop red.  So a trichromatic graph g with
+loop and `lift` repaints each blue loop green.  So a trichromatic graph g with
 R/G straight edges and B loops encodes the sub-arrangement of the B_n/C_n
 hyperplane arrangement made of the kernels of the roots of lift(g), read
-through the table above and no second one.
+through the table above and no second one.  Green makes `lift` undo
+`projectify` on quasi-crystallographs: lift(projectify(q)) is quasi when q is.
 
 An Edge is the tuple (ends, colour), validated on construction, so it
 equals, hashes and orders like that plain tuple.
@@ -183,13 +184,14 @@ def projectify(g: ColouredGraph) -> ColouredGraph:
 
 
 def lift(g: ColouredGraph) -> ColouredGraph:
-    """Repaint blue loops red, producing a bichromatic graph that projectifies back."""
+    """Repaint blue loops green (2 e_k), producing a bichromatic graph that
+    projectifies back, and is quasi if g projectifies a quasi-crystallograph."""
     if g.palette != TRICHROMATIC:
         raise ValueError("lift needs a trichromatic graph")
     stray = next((e for e in g.edges if e.is_loop and e.colour != BLUE), None)
     if stray is not None:
         raise ValueError(f"lift needs all loops blue, got {stray}")
-    edges = {e if not e.is_loop else loop(e.ends[0], RED) for e in g.edges}
+    edges = {e if not e.is_loop else loop(e.ends[0], GREEN) for e in g.edges}
     return ColouredGraph(g.n, frozenset(edges), BICHROMATIC)
 
 

@@ -13,6 +13,11 @@ from crystallograph.arrange import (
     quotient_projective,
     verify_projectification_compatibility,
 )
+from crystallograph.crystal import (
+    enumerate_crystallographs,
+    is_crystallograph,
+    is_quasi_crystallograph,
+)
 from crystallograph.graphs import (
     BLUE,
     GREEN,
@@ -23,6 +28,7 @@ from crystallograph.graphs import (
     arrangement_from_graph,
     empty_graph,
     graph,
+    graph_to_json,
     lift,
     loop,
     projectify,
@@ -51,10 +57,10 @@ def test_projectify_requires_bichromatic():
 
 
 def test_lift_examples():
-    assert lift(classical.projective_graph_borc(4)) == classical.graph_b(4)
+    assert lift(classical.projective_graph_borc(4)) == classical.graph_c(4)
     loopless = ColouredGraph(3, classical.graph_d(3).edges, TRICHROMATIC)
     assert lift(loopless) == classical.graph_d(3)
-    assert lift(graph(1, [loop(1, BLUE)], TRICHROMATIC)) == graph(1, [loop(1, RED)])
+    assert lift(graph(1, [loop(1, BLUE)], TRICHROMATIC)) == graph(1, [loop(1, GREEN)])
     with pytest.raises(ValueError):
         lift(graph(1, [loop(1, GREEN)], TRICHROMATIC))
     with pytest.raises(ValueError):
@@ -69,6 +75,24 @@ def test_projectify_lift_inverse_laws():
         assert projectify(lift(p)) == p
         if not any(e.is_loop for e in g.edges):
             assert lift(projectify(g)) == g
+
+
+def test_lift_is_a_section_of_projectify_on_quasi_graphs():
+    """lift(projectify(q)) is quasi for every quasi-crystallograph q, and a
+    crystallograph for every crystallograph, so the projective operations
+    can be read on it."""
+    for n in range(5):
+        for q in enumerate_crystallographs(n, "quasi"):
+            lifted = lift(projectify(q))
+            assert is_quasi_crystallograph(lifted), graph_to_json(q)
+            if is_crystallograph(q):
+                assert is_crystallograph(lifted), graph_to_json(q)
+    for m in range(1, 5):
+        assert lift(classical.projective_graph_borc(m)) == classical.graph_c(m)
+        for r in range(m + 1):
+            assert lift(classical.projective_graph_exotic_bd(r, m - r)) == (
+                classical.graph_c_plus_d(r, m - r)
+            )
 
 
 def test_hyperplane_count_is_root_line_count():

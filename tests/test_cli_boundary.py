@@ -96,3 +96,21 @@ def test_inconsistency_is_not_an_input_error(capsys, monkeypatch, tmp_path, argv
     out, err = capsys.readouterr()
     assert code == 1 and out == ""
     assert err.startswith("internal inconsistency: component (") and err.count("\n") == 1
+
+
+def test_falsified_projective_classification_is_an_inconsistency(capsys, monkeypatch, tmp_path):
+    """A projectified quasi graph matching no model falsifies the theorem, as
+    on the bichromatic side: it is not reported as bad input."""
+    exotic = classical.projective_graph_exotic_bd(1, 2)
+    path = tmp_path / "exotic.json"
+    path.write_text(graph_to_json(exotic))
+    table = {loops: tag for loops, tag in crystal._TAG_OF_LOOPS.items() if tag != "CplusD"}
+    crystal.classify_components.cache_clear()
+    monkeypatch.setattr(crystal, "_TAG_OF_LOOPS", table)
+    with pytest.raises(InconsistencyError):
+        crystal.classify_projective_components(exotic)
+    code = cli.main(["classify", str(path)])
+    crystal.classify_components.cache_clear()
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("internal inconsistency:") and err.count("\n") == 1

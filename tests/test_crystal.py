@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from dataclasses import replace
 from itertools import chain, combinations
 
 import pytest
@@ -44,8 +45,8 @@ from crystallograph.graphs import (
     graph,
     graph_from_roots,
     graph_to_json,
-    lift,
     loop,
+    projectify,
     roots_from_graph,
     straight,
     weyl_act_graph,
@@ -254,7 +255,8 @@ def test_projective_predicate_matches_red_lift():
     for n in range(4):
         for g in _trichromatic_graphs(n):
             all_blue = all(e.colour == BLUE for e in g.edges if e.is_loop)
-            expected = all_blue and is_quasi_crystallograph(lift(g))
+            red = graph(n, (loop(e.ends[0], RED) if e.is_loop else e for e in g.edges))
+            expected = all_blue and is_quasi_crystallograph(red)
             assert is_projective_crystallograph(g) == expected, graph_to_json(g)
             accepted += expected
     assert accepted > 0
@@ -368,8 +370,9 @@ def test_classify_projective_components():
 
 
 _BICHROMATIC_TAGS = ("A", "D", "B", "C", "BC", "Bipartite", "BplusC", "CplusD")
-_PROJECTIVE_TAGS = ("A", "D", "Bipartite", "BorC", "ExoticBD")
-_NOT_PROJECTIVE = "matches no projective model|carries non-blue loops"
+# the projective models are the projectified models of these tags, renamed
+_PROJECTIVE_TAGS = {"A": "A", "D": "D", "Bipartite": "Bipartite", "C": "BorC", "CplusD": "ExoticBD"}
+_NOT_PROJECTIVE = "not a projectification of a quasi-crystallograph|lift needs all loops blue"
 
 
 def _models_by_edges(nodes, tags):
@@ -381,7 +384,7 @@ def _models_by_edges(nodes, tags):
     subsets = [s for r in range(1, m) for s in combinations(nodes, r)]
     candidates = []
     for tag in tags:
-        if tag in ("BplusC", "CplusD", "ExoticBD"):
+        if tag in ("BplusC", "CplusD"):
             candidates += [Component(nodes, tag, (s,)) for s in subsets]
         elif tag == "Bipartite":
             for s in subsets:
@@ -392,6 +395,16 @@ def _models_by_edges(nodes, tags):
     models: dict[frozenset, list[Component]] = {}
     for comp in candidates:
         models.setdefault(model_edges(comp), []).append(comp)
+    return models
+
+
+def _projective_models_by_edges(nodes):
+    """The projective models on `nodes`: `projectify` of the bichromatic
+    models of _PROJECTIVE_TAGS, keyed by edge set and given their names."""
+    models: dict[frozenset, list[Component]] = {}
+    for edges, comps in _models_by_edges(nodes, _PROJECTIVE_TAGS).items():
+        key = projectify(ColouredGraph(max(nodes), edges)).edges
+        models.setdefault(key, []).extend(replace(c, type=_PROJECTIVE_TAGS[c.type]) for c in comps)
     return models
 
 
@@ -423,8 +436,11 @@ def test_classification_matches_brute_force_models_n3():
             found = []
             for nodes in connected_components(g):
                 if (nodes, g.palette) not in models:
-                    tags = _PROJECTIVE_TAGS if projective else _BICHROMATIC_TAGS
-                    models[nodes, g.palette] = _models_by_edges(nodes, tags)
+                    models[nodes, g.palette] = (
+                        _projective_models_by_edges(nodes)
+                        if projective
+                        else _models_by_edges(nodes, _BICHROMATIC_TAGS)
+                    )
                 edges = [e for e in g.edges if set(e.ends) <= set(nodes)]
                 expected = _unique_match(models[nodes, g.palette], edges)
                 outcomes[g.palette, expected is not None] += 1

@@ -11,7 +11,7 @@ import pytest
 from crystallograph import classical, oracle
 from crystallograph.linalg import nullspace_basis
 from crystallograph.arrange import verify_projectification_compatibility
-from crystallograph.quotient import KernelBasis, kernel_basis
+from crystallograph.quotient import KernelBasis, kernel_basis, quotient_graph
 from crystallograph.crystal import (
     CRYSTAL_PROPAGATING,
     QUASI_PROPAGATING,
@@ -31,7 +31,9 @@ from crystallograph.graphs import (
     graph,
     graph_from_roots,
     graph_to_json,
+    lift,
     loop,
+    projectify,
     roots_from_graph,
     weyl_act_graph,
 )
@@ -295,13 +297,19 @@ def test_nested_pairs_exhaustive_matches_subgraph_scan():
 
 
 def test_pair_failures_classifies_each_subgraph_once(exhaustive_pairs):
-    # the five quotient routes of a pair ask for gp's report; the memo
-    # computes it once
+    # the six quotient routes of a pair ask for gp's report (the projective
+    # one for the lift of its projectification), and the restricted
+    # arrangement for the lifted projectified quotient's; the memo computes
+    # each distinct graph once per pair
     classify_components.cache_clear()
     assert oracle.pair_failures(exhaustive_pairs) == []
     info = classify_components.cache_info()
-    assert info.misses <= len(exhaustive_pairs)
-    assert info.hits + info.misses == 5 * len(exhaustive_pairs)
+    distinct = sum(
+        len({gp, lift(projectify(gp)), lift(projectify(quotient_graph(g, gp)))})
+        for g, gp in exhaustive_pairs
+    )
+    assert info.misses <= distinct
+    assert info.hits + info.misses == 7 * len(exhaustive_pairs)
 
 
 def test_pair_failures_labels_only_failing_pairs(monkeypatch):

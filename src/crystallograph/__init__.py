@@ -68,7 +68,6 @@ from .graphs import (
 )
 from .oracle import (
     EnumerationSummary,
-    enumerate_subsystems_bruteforce,
     verify_all,
 )
 from .quotient import (

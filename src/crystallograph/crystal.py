@@ -43,7 +43,8 @@ component's loop pattern up in the same table inverted (a loopless one is
 A, D or Bipartite by its red parts), and raises unless the component equals
 the model drawn, which would mean the classification itself is broken.
 Both speak only red and green: `classify_projective_components` classifies
-`lift(g)` and names its C components BorC and its CplusD ones ExoticBD.
+`lift(g)` and names its C components BorC and its CplusD ones ExoticBD.  It
+has no check of its own: the quasi precondition is `classify_components`'.
 
 Two graph-level answers are memoised, because every layer above asks for
 them again: `_graph_closed(g, propagating)`, the one closure check behind
@@ -475,10 +476,7 @@ def classify_components(g: ColouredGraph) -> ComponentReport:
 def classify_projective_components(g: ColouredGraph) -> ComponentReport:
     """Decompose a projectified quasi-crystallograph into typed components:
     those of `lift(g)`, with C named BorC and CplusD named ExoticBD."""
-    lg = lift(g)
-    if not is_quasi_crystallograph(lg):
-        raise ValueError("not a projectification of a quasi-crystallograph")
-    comps = classify_components(lg).components
+    comps = classify_components(lift(g)).components
     return ComponentReport(
         tuple(replace(c, type=_PROJECTIVE_TAG.get(c.type, c.type)) for c in comps)
     )

@@ -287,7 +287,7 @@ def weyl_act_graph(w: SignedPermutation, g: ColouredGraph) -> ColouredGraph:
         else:
             i, j = e.ends
             colour = e.colour
-            if colour in _COLOUR_FLIP and w.signs[i - 1] * w.signs[j - 1] == -1:
+            if w.signs[i - 1] * w.signs[j - 1] == -1:
                 colour = _COLOUR_FLIP[colour]
             edges.add(straight(w.perm[i - 1] + 1, w.perm[j - 1] + 1, colour))
     return ColouredGraph(g.n, frozenset(edges), g.palette)

@@ -167,28 +167,6 @@ def line_tables(n: int) -> LineTables:
 
 
 # ---------------------------------------------------------------------------
-# brute-force enumeration
-
-
-def enumerate_subsystems_bruteforce(n: int):
-    """Every root subsystem of BC_n, found by reflection closure over masks.
-
-    Scans all 2^(n^2+n) symmetric subsets; n <= SCAN_LIMIT.  Yields frozensets
-    of roots in canonical (sorted-tuple) order.
-    """
-    if n > SCAN_LIMIT:
-        raise ValueError(f"n={n} exceeds the brute-force limit {SCAN_LIMIT}")
-    tables = line_tables(n)
-    found = [
-        tables.mask_to_roots(mask)
-        for mask in range(1 << tables.count)
-        if tables.is_subsystem(mask)
-    ]
-    found.sort(key=lambda phi: tuple(sorted(phi)))
-    yield from found
-
-
-# ---------------------------------------------------------------------------
 # closed-form labelled counts (cross-checks for the exhaustive scans)
 
 
@@ -265,10 +243,9 @@ def random_crystallograph(n: int, rng: random.Random) -> ColouredGraph:
         tag = rng.choice(tags)
         if tag == "Bipartite":
             cut = rng.randint(1, size - 1)
-            picks = sorted(rng.sample(block, cut))
+            picks = tuple(rng.sample(block, cut))
             rest = tuple(v for v in block if v not in picks)
-            parts = sorted([tuple(picks), rest], key=lambda p: (len(p), p[0]))
-            comp = Component(block, tag, tuple(parts))
+            comp = Component(block, tag, (picks, rest))
         else:
             comp = Component(block, tag)
         edges |= model_edges(comp)

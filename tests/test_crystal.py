@@ -369,10 +369,23 @@ def test_classify_projective_components():
         )
 
 
+def test_classify_projective_components_checks_quasi_once(monkeypatch):
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return is_quasi_crystallograph(g)
+
+    monkeypatch.setattr(crystal, "is_quasi_crystallograph", counted)
+    classify_components.cache_clear()
+    classify_projective_components(classical.projective_graph_exotic_bd(1, 2))
+    assert len(calls) == 1
+
+
 _BICHROMATIC_TAGS = ("A", "D", "B", "C", "BC", "Bipartite", "BplusC", "CplusD")
 # the projective models are the projectified models of these tags, renamed
 _PROJECTIVE_TAGS = {"A": "A", "D": "D", "Bipartite": "Bipartite", "C": "BorC", "CplusD": "ExoticBD"}
-_NOT_PROJECTIVE = "not a projectification of a quasi-crystallograph|lift needs all loops blue"
+_NOT_PROJECTIVE = "classify_components needs a quasi-crystallograph|lift needs all loops blue"
 
 
 def _models_by_edges(nodes, tags):

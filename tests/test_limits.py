@@ -43,8 +43,6 @@ CASES = {
                         "n=5 exceeds the enumeration limit 4"),
     "up-to-weyl": (lambda: next(crystal.enumerate_crystallographs(6, "up_to_weyl")),
                    "n=6 exceeds the up_to_weyl limit 5"),
-    "bruteforce": (lambda: next(oracle.enumerate_subsystems_bruteforce(5)),
-                   "n=5 exceeds the brute-force limit 4"),
     "pairs": (lambda: next(oracle.nested_pairs_exhaustive(4)),
               "n=4 exceeds the exhaustive pair limit 3"),
     "verify": (lambda: oracle.verify_all(7), "n=7 exceeds the verification limit 6"),

@@ -43,7 +43,6 @@ from crystallograph.oracle import (
     count_crystallographs,
     count_quasi_crystallographs,
     count_weyl_orbits,
-    enumerate_subsystems_bruteforce,
     kernel_failures,
     line_tables,
     random_bichromatic_graph,
@@ -119,20 +118,17 @@ def test_line_tables_reject_two_slots_on_one_line(monkeypatch):
 
 
 def test_enumerate_subsystems_bruteforce_counts():
-    assert len(list(enumerate_subsystems_bruteforce(1))) == 4
-    subs2 = list(enumerate_subsystems_bruteforce(2))
-    graphs2 = set(enumerate_crystallographs(2, "all"))
-    assert {graph_from_roots(phi, 2) for phi in subs2} == graphs2
-    subs3 = list(enumerate_subsystems_bruteforce(3))
-    assert len(subs3) == 144
-    assert {graph_from_roots(phi, 3) for phi in subs3} == set(
-        enumerate_crystallographs(3, "all")
-    )
-
-
-def test_bruteforce_limit():
-    with pytest.raises(ValueError):
-        next(enumerate_subsystems_bruteforce(5))
+    # the root side's own subsystems, read back as graphs through their roots
+    for n, count in ((1, 4), (2, 22), (3, 144)):
+        tables = line_tables(n)
+        subsystems = [
+            tables.mask_to_roots(mask)
+            for mask in range(1 << tables.count)
+            if tables.is_subsystem(mask)
+        ]
+        graphs = [graph_from_roots(phi, n) for phi in subsystems]
+        assert len(graphs) == len(set(graphs)) == count
+        assert set(graphs) == set(enumerate_crystallographs(n, "all"))
 
 
 def test_nullspace_examples():

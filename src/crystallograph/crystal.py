@@ -24,7 +24,15 @@ graph never sets a blue bit; the blue slots serve `orbit_canonical`.
 Both rules are Horn implications "slot s and slot t force these slots" over
 the n^2 + n bichromatic slots, in two configurations: every loop colour
 propagating (crystallographs) or red only (quasi).  `closure_rules` lists
-the implications per slot, and `closed` checks a mask against them.  The
+the implications per slot, and `closed` checks one mask against them.  The
+exhaustive scans check many masks at once instead (bit-slicing): for a run
+of masks, `mask_slices` (every mask in order) or `transposed_slices` (given
+masks) gives one int per slot whose bit k is that slot's bit in mask k, and
+`closed_slices` turns a rule "s and t force r" into the big-int step
+V_s & V_t & ~V_r, which rejects every mask of the run that breaks it.
+A run holds 2^_SLICE_BITS = 16,384 masks, so one step does 16,384 checks
+while the vectors stay a few kB each.  `closed_slices` reads any rules in
+this format, the oracle's reflection rules too.  The
 full table has about 2n^3 entries, so a graph on more than `_TABLE_MAX_N`
 nodes is checked by `_edges_closed`, a loop over the implications between
 its own edges read from the same `_implications`; its cost follows its
@@ -71,7 +79,7 @@ distinct images, keeping the least.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from functools import cache, lru_cache
 from itertools import combinations
@@ -250,6 +258,75 @@ def closed(mask: int, rules: HornRules) -> bool:
                 return False
         m ^= low
     return True
+
+
+def closed_slices(vectors: Sequence[int], full: int, rules: HornRules) -> int:
+    """`closed` on many masks at once: the bits k of `full` whose mask
+    satisfies every implication of `rules`.
+
+    Bit k of vectors[s] is bit s of mask k, so an implication "s and the
+    partner force r" rejects the masks of vectors[s] & vectors[partner] &
+    ~vectors[r], one big-int step for the whole slice.
+    """
+    broken = 0
+    for s, entry in enumerate(rules):
+        held = vectors[s]
+        if not held:
+            continue
+        for partner, required in entry:
+            both = held & vectors[partner.bit_length() - 1]
+            if both:
+                for r in set_bits(required):
+                    broken |= both & ~vectors[r]
+    return full & ~broken
+
+
+def set_bits(x: int):
+    """The indices of the set bits of x >= 0, in increasing order."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+# A slice holds 2^14 masks, the fastest width measured for `bijection_sweep(4)`
+# (2-vCPU Xeon, Python 3.11.7): 0.05-0.06 s, against 0.07-0.12 s at 2^12 and
+# 0.07 s at 2^16.  Narrower slices repeat the Python loop over the rules more
+# often; wider ones pay in decoding, where each accepted mask costs steps over
+# the whole vector: 1.6 s and +4.0 MB ru_maxrss at 2^20, against +0.6 MB here.
+_SLICE_BITS = 14
+
+
+def mask_slices(nslots: int):
+    """Yield (masks, vectors, full) for every mask over nslots slots, in
+    increasing order, 2^_SLICE_BITS masks at a time: bit k of vectors[s] is
+    bit s of masks[k], and `full` has one bit per mask of the slice.
+
+    The low slots take fixed periodic patterns, and each higher slot is
+    all-ones or zero for a whole slice.
+    """
+    low = min(_SLICE_BITS, nslots)
+    full = (1 << (1 << low)) - 1
+    # bit k of patterns[s] is bit s of k: runs of 2^s zeros then 2^s ones
+    patterns = [
+        full // ((1 << (2 << s)) - 1) * (((1 << (1 << s)) - 1) << (1 << s)) for s in range(low)
+    ]
+    for high in range(1 << (nslots - low)):
+        base = high << low
+        vectors = patterns + [full if high >> s & 1 else 0 for s in range(nslots - low)]
+        yield range(base, base + (1 << low)), vectors, full
+
+
+def transposed_slices(nslots: int, masks: Sequence[int]):
+    """`mask_slices` for given masks over nslots slots: runs of up to
+    2^_SLICE_BITS of them, in order, each transposed into slot vectors."""
+    for start in range(0, len(masks), 1 << _SLICE_BITS):
+        run = masks[start:start + (1 << _SLICE_BITS)]
+        # column j of the binary strings is slot nslots - 1 - j, and the
+        # last string is masks[0], the lowest bit of each vector
+        columns = list(zip(*(format(m, f"0{nslots}b") for m in reversed(run))))
+        vectors = [int("".join(columns[nslots - 1 - s]), 2) for s in range(nslots)]
+        yield run, vectors, (1 << len(run)) - 1
 
 
 def _edges_closed(g: ColouredGraph, propagating: frozenset[str]) -> bool:
@@ -665,7 +742,9 @@ def enumerate_crystallographs(n: int, mode: str = "all"):
         raise ValueError(f"n={n} exceeds the enumeration limit {SCAN_LIMIT}")
     rules = closure_rules(n, CRYSTAL_PROPAGATING if mode == "all" else QUASI_PROPAGATING)
     found = [
-        graph_from_slot_mask(n, mask) for mask in range(1 << (n * n + n)) if closed(mask, rules)
+        graph_from_slot_mask(n, masks[k])
+        for masks, vectors, full in mask_slices(n * n + n)
+        for k in set_bits(closed_slices(vectors, full, rules))
     ]
     found.sort(key=graph_to_json)
     yield from found

@@ -13,10 +13,15 @@ subsystem exactly when the masks of its own lines' reflections fix it.
 The permutations come from `rootsys.reflect` alone: only the numbering is
 read from the graph correspondence, never a closure rule or Weyl action.
 
-`bijection_sweep` puts every scanned mask through the oracle and the quasi
-rules, but the crystal rules only through the quasi-closed ones: the crystal
-rules are the quasi rules with more required slots, so they reject every
-mask the quasi rules reject.  The oracle side is never gated.
+`bijection_sweep` puts every scanned mask through the quasi rules, the
+crystal rules and the oracle, 2^14 masks at a time: `crystal.mask_slices`
+(or `transposed_slices`, for sampled masks) holds a run of masks as one int
+per slot, and `crystal.closed_slices` turns
+each side's rules into an accept vector for the whole run.  The oracle's
+rules are `LineTables.rules`, "lines a and b force the line of sigma_a(b)",
+read off the reflection permutations; `LineTables.is_subsystem` stays as
+their one-mask reference.  No side gates another, and only the masks the
+crystal rules or the oracle accept are decoded into graphs.
 
 The sampled suites draw the same graph or pair again and again (at n = 6
 and the default seed, 1,500 distinct pairs in 2,000 and 1,404 distinct
@@ -54,13 +59,17 @@ from .crystal import (
     bipartite_normalize,
     classify_components,
     closed,
+    closed_slices,
     closure_rules,
     enumerate_crystallographs,
     graph_from_slot_mask,
     is_crystallograph,
     is_quasi_crystallograph,
+    mask_slices,
     model_edges,
+    set_bits,
     slot_mask,
+    transposed_slices,
 )
 from .graphs import (
     BICHROMATIC,
@@ -107,6 +116,12 @@ class LineTables:
     InconsistencyError says the slots do not number BC_n's lines once each.
     For each line a, `apply(a, mask)` is the mask of sigma_a, from `reflect`
     alone, applied to the lines in `mask`: a few table lookups per call.
+
+    `rules` states subsystem closure as Horn implications in the format of
+    `crystal.closure_rules`: entry a lists (1 << b, 1 << c) for each line b
+    with c = sigma_a(b) not in {a, b}, "lines a and b force line c", read off
+    the same permutations.  A mask is a subsystem exactly when it satisfies
+    them all, which `is_subsystem` checks one mask at a time.
     """
 
     def __init__(self, n: int):
@@ -117,10 +132,12 @@ class LineTables:
             raise InconsistencyError(f"the edge slots on {n} nodes do not number the lines of BC_{n}")
         index = {rep: i for i, rep in enumerate(self.reps)}
         self.count = len(self.reps)
-        self._perm_tables = [
-            _mask_map_tables([1 << index[_canon_line(reflect(a, b))] for b in self.reps])
-            for a in self.reps
-        ]
+        images = [[index[_canon_line(reflect(a, b))] for b in self.reps] for a in self.reps]
+        self._perm_tables = [_mask_map_tables([1 << c for c in row]) for row in images]
+        self.rules = tuple(
+            tuple((1 << b, 1 << c) for b, c in enumerate(row) if c != a and c != b)
+            for a, row in enumerate(images)
+        )
 
     def apply(self, a: int, mask: int) -> int:
         return _mask_map_apply(self._perm_tables[a], mask)
@@ -312,37 +329,37 @@ def bijection_sweep(n: int, samples: int | None = None, seed: int = RNG_DEFAULT_
     """Compare the graph closure rules with the reflection-closure mask oracle.
 
     Exhaustive when samples is None (all 2^(n^2+n) graphs); otherwise over
-    `samples` seeded random graphs.  Every slot mask is checked against the
-    quasi rules and, as the line mask it also is, against the oracle.  The
-    crystal rules run only on quasi-closed masks: each quasi implication has
-    a crystal one with the same premises requiring a superset of its slots
-    (tests/test_crystal.py checks this for n <= 8), so a mask the quasi rules
-    reject the crystal rules reject too.  Only graphs that either side
-    accepts are built, and those also go through is_crystallograph.
+    `samples` seeded random graphs.  The masks go through in slices of
+    `crystal.mask_slices` or `transposed_slices`, one vector per slot, and
+    `closed_slices` gives each side's accept vector in one pass over its
+    rules: the quasi rules, the crystal rules, and the oracle's `rules` for
+    every slot mask read as the line mask it also is.  Only the masks that
+    the crystal rules or the oracle accept are decoded, in mask order, and
+    those also go through is_crystallograph.
     Returns (checked, crystallograph_list, quasi_count, failures).
     """
     tables = line_tables(n)
-    full_rules = closure_rules(n, CRYSTAL_PROPAGATING)
+    crystal_rules = closure_rules(n, CRYSTAL_PROPAGATING)
     quasi_rules = closure_rules(n, QUASI_PROPAGATING)
 
     if samples is None:
-        masks = range(1 << tables.count)
+        slices = mask_slices(tables.count)
     else:
         rng = random.Random(seed)
-        masks = [rng.getrandbits(tables.count) for _ in range(samples)]
+        slices = transposed_slices(tables.count, [rng.getrandbits(tables.count) for _ in range(samples)])
 
     crystallographs: list[ColouredGraph] = []
     quasi_count = 0
     failures: list[str] = []
     checked = 0
-    for mask in masks:
-        checked += 1
-        quasi = closed(mask, quasi_rules)
-        quasi_count += quasi
-        graph_side = quasi and closed(mask, full_rules)
-        root_side = tables.is_subsystem(mask)
-        if graph_side or root_side:
-            g = graph_from_slot_mask(n, mask)
+    for masks, vectors, full in slices:
+        checked += len(masks)
+        quasi_count += closed_slices(vectors, full, quasi_rules).bit_count()
+        crystal = closed_slices(vectors, full, crystal_rules)
+        root = closed_slices(vectors, full, tables.rules)
+        for k in set_bits(crystal | root):
+            g = graph_from_slot_mask(n, masks[k])
+            graph_side, root_side = bool(crystal >> k & 1), bool(root >> k & 1)
             if not graph_side == root_side == is_crystallograph(g):
                 failures.append(f"bijection mismatch: {graph_to_json(g)}")
             if graph_side:

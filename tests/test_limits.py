@@ -18,9 +18,11 @@ def _no_work(*args, **kwargs):
 def forbid_work(monkeypatch):
     for module, name in (
         (crystal, "closure_rules"),
+        (crystal, "closed_slices"),
         (crystal, "_weyl_orbit_representatives"),
         (oracle, "line_tables"),
         (oracle, "closure_rules"),
+        (oracle, "closed_slices"),
         (oracle, "enumerate_crystallographs"),
         (oracle, "bijection_sweep"),
         (rootsys, "weyl_group"),

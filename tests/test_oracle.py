@@ -13,13 +13,10 @@ from crystallograph.linalg import nullspace_basis
 from crystallograph.arrange import verify_projectification_compatibility
 from crystallograph.quotient import KernelBasis, kernel_basis, quotient_graph
 from crystallograph.crystal import (
-    CRYSTAL_PROPAGATING,
-    QUASI_PROPAGATING,
     InconsistencyError,
     all_bichromatic_graphs,
     all_edge_slots,
     classify_components,
-    closure_rules,
     enumerate_crystallographs,
     is_crystallograph,
     orbit_canonical,
@@ -242,28 +239,24 @@ def test_bijection_sweep_small(sweep3):
     assert sweep3["failures"] == []
 
 
-def test_bijection_sweep_gates_only_the_crystal_rules(monkeypatch):
-    # every mask meets the quasi rules and the oracle; only the quasi-closed
-    # ones meet the crystal rules
-    rule_names = {
-        id(closure_rules(3, QUASI_PROPAGATING)): "quasi",
-        id(closure_rules(3, CRYSTAL_PROPAGATING)): "crystal",
-    }
+def test_bijection_sweep_decodes_only_accepted_masks(monkeypatch):
+    # the rules run on slices of masks, never on one mask at a time, and only
+    # the masks a side accepts are decoded and put through is_crystallograph
     calls = Counter()
-    real_closed, real_is_subsystem = oracle.closed, LineTables.is_subsystem
 
-    def counting_closed(mask, rules):
-        calls[rule_names.get(id(rules), "other")] += 1
-        return real_closed(mask, rules)
+    def counting(name, real):
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
 
-    def counting_is_subsystem(tables, mask):
-        calls["roots"] += 1
-        return real_is_subsystem(tables, mask)
+        return call
 
-    monkeypatch.setattr(oracle, "closed", counting_closed)
-    monkeypatch.setattr(LineTables, "is_subsystem", counting_is_subsystem)
+    monkeypatch.setattr(oracle, "closed", counting("closed", oracle.closed))
+    monkeypatch.setattr(LineTables, "is_subsystem", counting("is_subsystem", LineTables.is_subsystem))
+    monkeypatch.setattr(oracle, "graph_from_slot_mask", counting("decode", oracle.graph_from_slot_mask))
+    monkeypatch.setattr(oracle, "is_crystallograph", counting("is_crystallograph", oracle.is_crystallograph))
     bijection_sweep(3)
-    assert calls == {"quasi": 4096, "crystal": count_quasi_crystallographs(3), "roots": 4096}
+    assert calls == {"decode": 144, "is_crystallograph": 144}
 
 
 def test_bijection_sweep_reports_mismatches(monkeypatch):

@@ -224,8 +224,10 @@ _CHUNK_CUT = (1 << _CHUNK_BITS) - 1
 def _mask_map_tables(image: list[int]) -> list[list[int]]:
     """Per-chunk OR tables for the map mask -> OR of image[b] over set bits b.
 
-    Chunking by 10 bits keeps the tables small at every n (they would grow
-    as 2^(bits/2) with half-width chunks, unusable beyond n = 5).
+    They serve the Weyl generator slot maps of `_generator_tables`, which
+    close orbits with a few lookups per image.  Chunking by 10 bits keeps
+    the tables small at every n (they would grow as 2^(bits/2) with
+    half-width chunks, unusable beyond n = 5).
     """
     nbits = len(image)
     tables = []

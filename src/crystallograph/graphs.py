@@ -107,7 +107,7 @@ class ColouredGraph:
         return sorted(self.edges, key=edge_sort_key)
 
     def is_subgraph_of(self, other: ColouredGraph) -> bool:
-        return self.n == other.n and self.edges <= other.edges
+        return self.n == other.n and self.palette == other.palette and self.edges <= other.edges
 
 
 def empty_graph(n: int, palette: str = BICHROMATIC) -> ColouredGraph:

@@ -9,18 +9,19 @@ Opposite root pairs +-alpha are "lines"; a symmetric subset is a set of
 lines, i.e. an integer mask over the n^2 + n lines, numbered by the edge
 slots of `crystal.all_edge_slots`, so a graph's slot mask is its line mask.
 Each reflection sigma_alpha permutes the lines, and a subset is a root
-subsystem exactly when the masks of its own lines' reflections fix it.
-The permutations come from `rootsys.reflect` alone: only the numbering is
-read from the graph correspondence, never a closure rule or Weyl action.
+subsystem exactly when sigma_a(b) lies in it for every two of its lines a
+and b.  `LineTables` keeps these images in one table, from `rootsys.reflect`
+alone: only the numbering is read from the graph correspondence, never a
+closure rule or Weyl action.
 
 `bijection_sweep` puts every scanned mask through the quasi rules, the
 crystal rules and the oracle, 2^14 masks at a time: `crystal.mask_slices`
 (or `transposed_slices`, for sampled masks) holds a run of masks as one int
 per slot, and `crystal.closed_slices` turns
 each side's rules into an accept vector for the whole run.  The oracle's
-rules are `LineTables.rules`, "lines a and b force the line of sigma_a(b)",
-read off the reflection permutations; `LineTables.is_subsystem` stays as
-their one-mask reference.  No side gates another, and only the masks the
+rules are `LineTables.rules`, "lines a and b force the lines of sigma_a(b)
+and sigma_b(a)", read off the image table; `LineTables.is_subsystem` stays
+as their one-mask reference.  No side gates another, and only the masks the
 crystal rules or the oracle accept are decoded into graphs.
 
 The sampled suites draw the same graph or pair again and again (at n = 6
@@ -52,8 +53,6 @@ from .crystal import (
     SCAN_LIMIT,
     Component,
     InconsistencyError,
-    _mask_map_apply,
-    _mask_map_tables,
     _weyl_orbit_masks,
     all_edge_slots,
     bipartite_normalize,
@@ -110,18 +109,19 @@ def _canon_line(alpha: Root) -> Root:
 
 
 class LineTables:
-    """Reflection action of BC_n on its own root lines, as mask permutations.
+    """Reflection action of BC_n on its own root lines, as one table.
 
     Line i is the line of the edge in slot i of `all_edge_slots(n)`; an
     InconsistencyError says the slots do not number BC_n's lines once each.
-    For each line a, `apply(a, mask)` is the mask of sigma_a, from `reflect`
-    alone, applied to the lines in `mask`: a few table lookups per call.
+    `images[a][b]` is the line of sigma_a(b), from `reflect` alone, and
+    everything else here is read off that table.
 
-    `rules` states subsystem closure as Horn implications in the format of
-    `crystal.closure_rules`: entry a lists (1 << b, 1 << c) for each line b
-    with c = sigma_a(b) not in {a, b}, "lines a and b force line c", read off
-    the same permutations.  A mask is a subsystem exactly when it satisfies
-    them all, which `is_subsystem` checks one mask at a time.
+    A mask is a subsystem when sigma_a(b) lies in it for every two of its
+    lines a and b, which `is_subsystem` checks as stated.  `rules` states
+    the same in the format of `crystal.closure_rules`: entry a lists
+    (1 << b, required) for each line b < a not orthogonal to it, required
+    holding the lines of sigma_a(b) and sigma_b(a), neither of them a or b.
+    `closure` is the worklist of `rootsys.reflection_closure` on lines.
     """
 
     def __init__(self, n: int):
@@ -132,37 +132,35 @@ class LineTables:
             raise InconsistencyError(f"the edge slots on {n} nodes do not number the lines of BC_{n}")
         index = {rep: i for i, rep in enumerate(self.reps)}
         self.count = len(self.reps)
-        images = [[index[_canon_line(reflect(a, b))] for b in self.reps] for a in self.reps]
-        self._perm_tables = [_mask_map_tables([1 << c for c in row]) for row in images]
+        images = self.images = [[index[_canon_line(reflect(a, b))] for b in self.reps] for a in self.reps]
         self.rules = tuple(
-            tuple((1 << b, 1 << c) for b, c in enumerate(row) if c != a and c != b)
+            tuple((1 << b, 1 << row[b] | 1 << images[b][a]) for b in range(a) if row[b] != b)
             for a, row in enumerate(images)
         )
 
-    def apply(self, a: int, mask: int) -> int:
-        return _mask_map_apply(self._perm_tables[a], mask)
-
     def is_subsystem(self, mask: int) -> bool:
-        m = mask
-        while m:
-            low = m & -m
-            if self.apply(low.bit_length() - 1, mask) != mask:
-                return False
-            m ^= low
-        return True
+        lines = [a for a in range(self.count) if mask >> a & 1]
+        return all(mask >> self.images[a][b] & 1 for a in lines for b in lines)
 
     def closure(self, mask: int) -> int:
-        changed = True
-        while changed:
-            changed = False
-            m = mask
-            while m:
-                low = m & -m
-                image = self.apply(low.bit_length() - 1, mask)
-                if image | mask != mask:
-                    mask |= image
-                    changed = True
-                m ^= low
+        # each line leaving the worklist reflects each line done, and is
+        # reflected by it, once; the lines this reaches join the worklist
+        images = self.images
+        pending = [a for a in range(self.count) if mask >> a & 1]
+        done: list[int] = []
+        while pending:
+            a = pending.pop()
+            done.append(a)
+            row = images[a]
+            reached = 0
+            for b in done:
+                reached |= 1 << row[b] | 1 << images[b][a]
+            reached &= ~mask
+            mask |= reached
+            while reached:
+                low = reached & -reached
+                pending.append(low.bit_length() - 1)
+                reached ^= low
         return mask
 
     def mask_to_roots(self, mask: int) -> RootSet:

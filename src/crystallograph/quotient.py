@@ -106,6 +106,8 @@ def orthogonal_projection(g: ColouredGraph) -> RationalMatrix:
 def _check_nested(g: ColouredGraph, gp: ColouredGraph) -> None:
     if g.n != gp.n:
         raise ValueError(f"node counts differ: {g.n} vs {gp.n}")
+    if g.palette != gp.palette:
+        raise ValueError(f"palettes differ: {g.palette} vs {gp.palette}")
     if not gp.is_subgraph_of(g):
         raise ValueError("subgraph relation violated: gp has edges outside g")
 

@@ -204,6 +204,16 @@ def test_arrangement_projective_pair(capsys, tmp_path):
     assert obj["components"] == [{"nodes": [1, 2, 3], "type": "ExoticBD", "params": [1, 2]}]
 
 
+def test_arrangement_names_a_palette_mismatch(capsys, d4_file, tmp_path):
+    # an empty trichromatic graph has no edge outside g, but is no subgraph
+    # of a bichromatic one
+    gp = tmp_path / "empty_tri.json"
+    gp.write_text('{"palette":"tri","nodes":4,"edges":[]}')
+    code, out, err = run(capsys, "arrangement", d4_file, str(gp))
+    assert (code, out) == (1, "")
+    assert err == "error: palettes differ: bi vs tri\n"
+
+
 def test_quotient_normalize_flag(capsys, tmp_path):
     g = classical.graph_bipartite(1, 2)
     gfile = tmp_path / "g.json"

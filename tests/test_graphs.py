@@ -182,6 +182,12 @@ def test_correspondences_inclusion_preserving():
         assert other.is_subgraph_of(big) == (roots_from_graph(other) <= roots_from_graph(big))
 
 
+def test_subgraph_needs_the_same_palette():
+    bi, tri = empty_graph(2), empty_graph(2, TRICHROMATIC)
+    assert bi.is_subgraph_of(bi) and tri.is_subgraph_of(tri)
+    assert not bi.is_subgraph_of(tri) and not tri.is_subgraph_of(bi)
+
+
 def test_disjoint_union_examples():
     g = disjoint_union(classical.graph_a(2), classical.graph_a(2))
     assert g == classical.graph_pairs_and_points(2, 0)

@@ -27,15 +27,8 @@ ROOT_ROUTE_ONLY = {
 }
 GRAPH_MODULES = {"graphs", "crystal"}
 # what LineTables may name from GRAPH_MODULES: the slots, the one-edge graph's
-# roots, the mask-map helpers and the error raised when the numbering fails
-LINE_NUMBERING = {
-    "all_edge_slots",
-    "ColouredGraph",
-    "roots_from_graph",
-    "_mask_map_tables",
-    "_mask_map_apply",
-    "InconsistencyError",
-}
+# roots and the error raised when the numbering fails
+LINE_NUMBERING = {"all_edge_slots", "ColouredGraph", "roots_from_graph", "InconsistencyError"}
 
 
 def _borrowed(tree: ast.AST) -> list[str]:

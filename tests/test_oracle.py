@@ -14,6 +14,8 @@ from crystallograph.arrange import verify_projectification_compatibility
 from crystallograph.quotient import KernelBasis, kernel_basis, quotient_graph
 from crystallograph.crystal import (
     InconsistencyError,
+    _generator_tables,
+    _mask_map_apply,
     all_bichromatic_graphs,
     all_edge_slots,
     classify_components,
@@ -23,6 +25,7 @@ from crystallograph.crystal import (
     slot_mask,
 )
 from crystallograph.graphs import (
+    BICHROMATIC,
     RED,
     ColouredGraph,
     graph,
@@ -85,6 +88,20 @@ def test_line_tables_closure_matches_naive():
         mask = rng.getrandbits(tables.count) & rng.getrandbits(tables.count)
         closed = tables.closure(mask)
         assert tables.mask_to_roots(closed) == reflection_closure(tables.mask_to_roots(mask))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_line_tables_match_the_root_set_references_on_seeded_closures(n):
+    # uniform masks are almost never closed at n >= 5, so draw sub-masks of
+    # crystallographs; each closure is checked, and so is a one-bit neighbour
+    rng = random.Random(101 + n)
+    tables = line_tables(n)
+    for _ in range(100):
+        sub = slot_mask(random_crystallograph(n, rng)) & rng.getrandbits(tables.count)
+        closed = tables.closure(sub)
+        assert tables.mask_to_roots(closed) == reflection_closure(tables.mask_to_roots(sub))
+        for mask in (closed, closed ^ 1 << rng.randrange(tables.count)):
+            assert tables.is_subsystem(mask) == is_root_subsystem(tables.mask_to_roots(mask))
 
 
 def test_slot_mask_is_line_mask():
@@ -373,6 +390,25 @@ def test_random_nested_pair_is_valid():
 
 def test_weyl_commutation():
     assert weyl_commutation_failures(4, 2000, seed=5) == []
+
+
+def test_weyl_generators_move_slots_as_they_move_lines():
+    # the orbit route's generator slot maps, read off the graph action, equal
+    # the root action on the lines, so every product of them, that is every
+    # w in W(BC_n), acts alike on every mask
+    for n in range(1, 8):
+        tables = line_tables(n)
+        index = {rep: i for i, rep in enumerate(tables.reps)}
+        generators = [SignedPermutation.sign_flip(n, 1)]
+        for k in range(n - 1):
+            perm = list(range(n))
+            perm[k], perm[k + 1] = k + 1, k
+            generators.append(SignedPermutation(tuple(perm), (1,) * n))
+        slot_maps = _generator_tables(n, BICHROMATIC)
+        assert len(slot_maps) == len(generators) == n
+        for w, slot_map in zip(generators, slot_maps):
+            lines = [1 << index[oracle._canon_line(w.apply(rep))] for rep in tables.reps]
+            assert [_mask_map_apply(slot_map, 1 << b) for b in range(tables.count)] == lines, (n, w)
 
 
 def test_weyl_commutation_compares_the_seeded_draws(monkeypatch):

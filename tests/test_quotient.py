@@ -12,6 +12,7 @@ from crystallograph.crystal import classify_components, is_quasi_crystallograph
 from crystallograph.graphs import (
     GREEN,
     RED,
+    TRICHROMATIC,
     ColouredGraph,
     disjoint_union,
     empty_graph,
@@ -156,6 +157,9 @@ def test_quotient_preconditions():
     # node counts must agree
     with pytest.raises(ValueError):
         quotient_graph(classical.graph_d(3), empty_graph(2))
+    # a trichromatic gp is no subgraph of a bichromatic g, even with no edges
+    with pytest.raises(ValueError, match="palettes differ: bi vs tri"):
+        quotient_graph(classical.graph_d(3), empty_graph(3, TRICHROMATIC))
     # gp must be an edge subset of g
     with pytest.raises(ValueError):
         quotient_graph(classical.graph_a(3), graph(3, [straight(1, 3, GREEN)]))

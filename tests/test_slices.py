@@ -90,10 +90,10 @@ def test_root_rules_alone_reproduce_is_subsystem(n):
 
 
 def test_root_rules_match_their_statement():
-    # every single root rule is implied by the others at n <= 4 (dropping
-    # any one leaves each accept vector as it was), so only the table itself
-    # can show that one is missing: rebuild it from `reflect` on the line
-    # representatives, one ordered pair of lines at a time
+    # where a pair of lines forces two lines, each is implied by the other
+    # rules at n <= 4 (dropping either leaves every accept vector as it was),
+    # so only the table itself can show that one is missing: rebuild it from
+    # `reflect` on the line representatives, each pair b < a listed under a
     def line(alpha):
         return alpha if next(c for c in alpha if c) > 0 else tuple(-c for c in alpha)
 
@@ -103,11 +103,15 @@ def test_root_rules_match_their_statement():
         index = {rep: i for i, rep in enumerate(tables.reps)}
         expected = []
         for a, alpha in enumerate(tables.reps):
-            images = ((b, index[line(reflect(alpha, beta))]) for b, beta in enumerate(tables.reps))
-            expected.append(tuple((1 << b, 1 << c) for b, c in images if c not in (a, b)))
+            entry = []
+            for b, beta in enumerate(tables.reps[:a]):
+                forced = {index[line(reflect(alpha, beta))], index[line(reflect(beta, alpha))]} - {a, b}
+                if forced:
+                    entry.append((1 << b, sum(1 << c for c in forced)))
+            expected.append(tuple(entry))
         assert tables.rules == tuple(expected), n
-        counts.append(sum(map(len, expected)))
-    assert counts == [0, 0, 16, 72, 192, 400, 720]
+        counts.append((sum(map(len, expected)), sum(r.bit_count() for e in expected for _, r in e)))
+    assert counts == [(0, 0), (0, 0), (8, 16), (36, 60), (96, 144), (200, 280), (360, 480)]
 
 
 @pytest.mark.parametrize("bits", [0, 1, 3])

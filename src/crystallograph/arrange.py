@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .crystal import ComponentReport, classify_projective_components
 from .graphs import ColouredGraph, Hyperplane, lift, normal_lines, projectify
-from .quotient import _nested_parts, _rewrite, quotient_graph
+from .quotient import _check_nested, _nested_parts, _rewrite, quotient_graph
 from .rootsys import SignedPermutation, weyl_equivalent
 
 
@@ -24,8 +24,10 @@ def quotient_projective(g: ColouredGraph, gp: ColouredGraph) -> ColouredGraph:
 
     `projectify` of the bichromatic rewrite of the lifted pair (blue loops
     repainted green), so every loop the rules make comes out one blue loop.
-    The lifted pair is checked and split into red parts by `_nested_parts`.
+    The pair is checked before lifting, so a palette mismatch is named as
+    such; the lifted pair is split into red parts by `_nested_parts`.
     """
+    _check_nested(g, gp)
     lg, lgp = lift(g), lift(gp)
     return projectify(_rewrite(lg, lgp, _nested_parts(lg, lgp)))
 

@@ -17,7 +17,9 @@ through the table above and no second one.  Green makes `lift` undo
 `projectify` on quasi-crystallographs: lift(projectify(q)) is quasi when q is.
 
 An Edge is the tuple (ends, colour), validated on construction, so it
-equals, hashes and orders like that plain tuple.
+equals, hashes and orders like that plain tuple.  Edges are built only by
+`straight` and `loop`, from a bounded memo, so each distinct (ends, colour)
+is one shared object however many graphs hold it.
 
 Graphs are immutable values; equality is literal (same node count, same edge
 set).  The constructor freezes whatever edge iterable it is given, so every
@@ -31,6 +33,7 @@ import json
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 from .rootsys import Root, RootSet, SignedPermutation, is_bc_root, is_symmetric
@@ -47,7 +50,11 @@ _DOT_COLOUR = {RED: "red", GREEN: "green", BLUE: "blue"}
 
 
 class Edge(namedtuple("Edge", "ends colour")):
-    """A coloured edge: ends is (i, j) with i < j for straight, (k,) for a loop."""
+    """A coloured edge: ends is (i, j) with i < j for straight, (k,) for a loop.
+
+    Build edges with `straight` and `loop`: they memoise, so each distinct
+    (ends, colour) is constructed and validated once and then shared.
+    """
 
     __slots__ = ()
 
@@ -65,12 +72,21 @@ class Edge(namedtuple("Edge", "ends colour")):
         return len(self.ends) == 1
 
 
+# Entries per memo of `straight` and `loop`.  verify at n <= 6 builds at most
+# 78 distinct edges: 60 straight (15 pairs, both argument orders, two colours)
+# and 18 loops (6 nodes, three colours), so every one stays cached; a larger
+# graph only evicts.  Exceptions are never cached, so bad input raises anew.
+_EDGE_MEMO_SIZE = 128
+
+
+@lru_cache(maxsize=_EDGE_MEMO_SIZE)
 def straight(i: int, j: int, colour: str) -> Edge:
     if i == j:
         raise ValueError("a straight edge needs two distinct endpoints")
     return Edge((min(i, j), max(i, j)), colour)
 
 
+@lru_cache(maxsize=_EDGE_MEMO_SIZE)
 def loop(k: int, colour: str) -> Edge:
     return Edge((k,), colour)
 
@@ -239,8 +255,11 @@ def disjoint_union(g1: ColouredGraph, g2: ColouredGraph) -> ColouredGraph:
     """Concatenate node sets (g2's nodes shifted by g1.n) and merge edges."""
     if g1.palette != g2.palette:
         raise ValueError("palette mismatch in disjoint union")
-    shifted = {Edge(tuple(v + g1.n for v in e.ends), e.colour) for e in g2.edges}
-    return ColouredGraph(g1.n + g2.n, g1.edges | frozenset(shifted), g1.palette)
+    edges = set(g1.edges)
+    for e in g2.edges:
+        ends = [v + g1.n for v in e.ends]
+        edges.add(loop(*ends, e.colour) if e.is_loop else straight(*ends, e.colour))
+    return ColouredGraph(g1.n + g2.n, frozenset(edges), g1.palette)
 
 
 def linked_parts(nodes: Sequence[int], links: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -319,6 +338,14 @@ def _json_node(item: dict, key: str) -> int:
     return value
 
 
+def _json_colour(item: dict) -> str:
+    # checked before the edge memo, which would raise TypeError on a list or object
+    colour = item.get("colour")
+    if not isinstance(colour, str):
+        raise ValueError(f"unknown colour: {colour!r}")
+    return colour
+
+
 def graph_from_json_obj(obj: dict) -> ColouredGraph:
     if not isinstance(obj, dict):
         raise ValueError("a graph must be a JSON object")
@@ -338,9 +365,9 @@ def graph_from_json_obj(obj: dict) -> ColouredGraph:
             raise ValueError(f"edge {item!r} is not an object")
         kind = item.get("kind")
         if kind == "straight":
-            edges.add(straight(_json_node(item, "i"), _json_node(item, "j"), item.get("colour")))
+            edges.add(straight(_json_node(item, "i"), _json_node(item, "j"), _json_colour(item)))
         elif kind == "loop":
-            edges.add(loop(_json_node(item, "k"), item.get("colour")))
+            edges.add(loop(_json_node(item, "k"), _json_colour(item)))
         else:
             raise ValueError(f"unknown edge kind: {kind!r}")
     return ColouredGraph(n, frozenset(edges), palette)

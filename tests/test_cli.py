@@ -214,6 +214,21 @@ def test_arrangement_names_a_palette_mismatch(capsys, d4_file, tmp_path):
     assert err == "error: palettes differ: bi vs tri\n"
 
 
+@pytest.mark.parametrize("tri_first", [True, False], ids=["tri-bi", "bi-tri"])
+def test_arrangement_palette_mismatch_in_either_order(capsys, tmp_path, tri_first):
+    from crystallograph.arrange import projectify
+
+    d4, a1 = classical.graph_d(4), graph(4, [straight(1, 2, RED)])
+    g, gp = (projectify(d4), a1) if tri_first else (d4, projectify(a1))
+    paths = []
+    for name, h in (("g.json", g), ("gp.json", gp)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(graph_to_json(h))
+    code, out, err = run(capsys, "arrangement", *map(str, paths))
+    assert (code, out) == (1, "")
+    assert err == f"error: palettes differ: {g.palette} vs {gp.palette}\n"
+
+
 def test_quotient_normalize_flag(capsys, tmp_path):
     g = classical.graph_bipartite(1, 2)
     gfile = tmp_path / "g.json"

@@ -60,6 +60,29 @@ def test_edge_is_its_plain_tuple():
     assert hash(e) == hash((e.ends, e.colour))
 
 
+def test_edges_are_interned():
+    assert straight(1, 2, RED) is straight(1, 2, RED)
+    assert loop(3, BLUE) is loop(3, BLUE)
+    assert straight(2, 1, GREEN) == straight(1, 2, GREEN)
+    # a failed build is not memoised: bad input raises on every call
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            straight(1, 1, RED)
+        with pytest.raises(ValueError, match="unknown colour: 'X'"):
+            loop(1, "X")
+
+
+def test_graphs_share_the_edges_they_have_in_common():
+    rng = random.Random(5)
+    g, h = (oracle.random_crystallograph(4, rng) for _ in range(2))
+    while not g.edges & h.edges:
+        h = oracle.random_crystallograph(4, rng)
+    h_edge = {e: e for e in h.edges}
+    assert all(h_edge[e] is e for e in g.edges & h.edges)
+    shifted = disjoint_union(g, g)
+    assert all(any(e is f for f in shifted.edges) for e in g.edges)
+
+
 def test_graph_validation():
     with pytest.raises(ValueError):
         graph(1, [loop(2, RED)])
@@ -300,6 +323,12 @@ def test_json_rejects_malformed():
         graph_from_json('{"palette":"bi","edges":[]}')
     with pytest.raises(ValueError):
         graph_from_json('{"palette":"bi","nodes":2,"edges":[{"kind":"arc"}]}')
+    # unhashable colours too: the edge memo never sees them
+    for colour in (None, 2, [], ["R"], {}, {"a": 1}):
+        for edge in ({"kind": "straight", "i": 1, "j": 2, "colour": colour}, {"kind": "loop", "k": 1, "colour": colour}):
+            text = json.dumps({"palette": "bi", "nodes": 2, "edges": [edge]})
+            with pytest.raises(ValueError, match="unknown colour: "):
+                graph_from_json(text)
 
 
 def test_dot_output():

@@ -24,21 +24,17 @@ graph never sets a blue bit; the blue slots serve `orbit_canonical`.
 Both rules are Horn implications "slot s and slot t force these slots" over
 the n^2 + n bichromatic slots, in two configurations: every loop colour
 propagating (crystallographs) or red only (quasi).  `closure_rules` lists
-the implications per slot, and `closed` checks one mask against them.  The
-exhaustive scans check many masks at once instead (bit-slicing): for a run
-of masks, `mask_slices` (every mask in order) or `transposed_slices` (given
-masks) gives one int per slot whose bit k is that slot's bit in mask k, and
-`closed_slices` turns a rule "s and t force r" into the big-int step
-V_s & V_t & ~V_r, which rejects every mask of the run that breaks it.
-A run holds 2^_SLICE_BITS = 16,384 masks, so one step does 16,384 checks
-while the vectors stay a few kB each.  `closed_slices` reads any rules in
-this format, the oracle's reflection rules too.  The
-full table has about 2n^3 entries, so a graph on more than `_TABLE_MAX_N`
-nodes is checked by `_edges_closed`, a loop over the implications between
-its own edges read from the same `_implications`; its cost follows its
-edges, not n.  The rules are written from the two statements above, never
-from reflections, so the sweeps in `oracle` still compare two independent
-routes.
+the implications per slot, and `closed` checks one mask against them.
+`closed_masks` lists the masks that satisfy a table without visiting the
+other 2^(n^2+n): it grows closed masks one slot at a time, closing each
+extension by forward chaining, so its work follows the closed masks it
+finds.  It reads any rules in this format, the oracle's reflection rules
+too.  The full table has about 2n^3 entries, so a graph on more than
+`_TABLE_MAX_N` nodes is checked by `_edges_closed`, a loop over the
+implications between its own edges read from the same `_implications`; its
+cost follows its edges, not n.  The rules are written from the two
+statements above, never from reflections, so the sweeps in `oracle` still
+compare two independent routes.
 
 Every graph passing these predicates decomposes into connected components
 drawn from a short list of models, written once in `_LOOP_MODELS`.  Apart
@@ -79,7 +75,7 @@ distinct images, keeping the least.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, replace
 from functools import cache, lru_cache
 from itertools import combinations
@@ -193,8 +189,8 @@ def closure_rules(n: int, propagating: frozenset[str]) -> HornRules:
     s and the partner must hold every slot of the required mask.  Each
     implication is listed once, under the later of its two premise slots,
     with partners in increasing order.  The table has about 2n^3 entries,
-    so it serves the small n of the exhaustive scans; larger graphs are
-    checked with `_edges_closed`.
+    so it serves `closed` on graphs of up to `_TABLE_MAX_N` nodes and
+    `closed_masks`; larger graphs are checked with `_edges_closed`.
     """
     every = {v: range(1, n + 1) for v in range(1, n + 1)}
     return tuple(
@@ -262,73 +258,58 @@ def closed(mask: int, rules: HornRules) -> bool:
     return True
 
 
-def closed_slices(vectors: Sequence[int], full: int, rules: HornRules) -> int:
-    """`closed` on many masks at once: the bits k of `full` whose mask
-    satisfies every implication of `rules`.
+def closed_masks(rules: HornRules, within: int | None = None):
+    """Yield every mask inside `within` (by default every slot of `rules`)
+    that satisfies `rules`, each once, in search order rather than mask
+    order.
 
-    Bit k of vectors[s] is bit s of mask k, so an implication "s and the
-    partner force r" rejects the masks of vectors[s] & vectors[partner] &
-    ~vectors[r], one big-int step for the whole slice.
+    These are the closed sets of the table's forward chaining, listed by
+    prefix-preserving closure extension (the depth-first search of LCM;
+    Uno, Kiyomi and Arimura, 2004): a closed mask reached by extending at
+    slot i - 1 is extended at each free slot j >= i in turn, and the
+    closure of mask | 1 << j is kept only if it adds no slot below j and
+    none outside `within`.  Every closed mask but 0 has one parent: the
+    closure of its slots below j, for the least j whose slots up to j close
+    to the whole mask.  The parent lies inside the mask, so no closed mask
+    inside `within` is cut off.  Every implication has two premises, so 0
+    is closed and the search starts there.
     """
-    broken = 0
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in rules]
     for s, entry in enumerate(rules):
-        held = vectors[s]
-        if not held:
-            continue
         for partner, required in entry:
-            both = held & vectors[partner.bit_length() - 1]
-            if both:
-                for r in set_bits(required):
-                    broken |= both & ~vectors[r]
-    return full & ~broken
+            adjacency[s].append((partner, required))
+            adjacency[partner.bit_length() - 1].append((1 << s, required))
 
+    def extend(mask: int, bit: int, barred: int) -> int:
+        """The closure of mask | bit, or 0 once it reaches a barred slot."""
+        mask |= bit
+        todo = bit
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            for partner, required in adjacency[low.bit_length() - 1]:
+                if partner & mask:
+                    new = required & ~mask
+                    if new:
+                        if new & barred:
+                            return 0
+                        mask |= new
+                        todo |= new
+        return mask
 
-def set_bits(x: int):
-    """The indices of the set bits of x >= 0, in increasing order."""
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
-
-
-# A slice holds 2^14 masks, the fastest width measured for `bijection_sweep(4)`
-# (2-vCPU Xeon, Python 3.11.7): 0.05-0.06 s, against 0.07-0.12 s at 2^12 and
-# 0.07 s at 2^16.  Narrower slices repeat the Python loop over the rules more
-# often; wider ones pay in decoding, where each accepted mask costs steps over
-# the whole vector: 1.6 s and +4.0 MB ru_maxrss at 2^20, against +0.6 MB here.
-_SLICE_BITS = 14
-
-
-def mask_slices(nslots: int):
-    """Yield (masks, vectors, full) for every mask over nslots slots, in
-    increasing order, 2^_SLICE_BITS masks at a time: bit k of vectors[s] is
-    bit s of masks[k], and `full` has one bit per mask of the slice.
-
-    The low slots take fixed periodic patterns, and each higher slot is
-    all-ones or zero for a whole slice.
-    """
-    low = min(_SLICE_BITS, nslots)
-    full = (1 << (1 << low)) - 1
-    # bit k of patterns[s] is bit s of k: runs of 2^s zeros then 2^s ones
-    patterns = [
-        full // ((1 << (2 << s)) - 1) * (((1 << (1 << s)) - 1) << (1 << s)) for s in range(low)
-    ]
-    for high in range(1 << (nslots - low)):
-        base = high << low
-        vectors = patterns + [full if high >> s & 1 else 0 for s in range(nslots - low)]
-        yield range(base, base + (1 << low)), vectors, full
-
-
-def transposed_slices(nslots: int, masks: Sequence[int]):
-    """`mask_slices` for given masks over nslots slots: runs of up to
-    2^_SLICE_BITS of them, in order, each transposed into slot vectors."""
-    for start in range(0, len(masks), 1 << _SLICE_BITS):
-        run = masks[start:start + (1 << _SLICE_BITS)]
-        # column j of the binary strings is slot nslots - 1 - j, and the
-        # last string is masks[0], the lowest bit of each vector
-        columns = list(zip(*(format(m, f"0{nslots}b") for m in reversed(run))))
-        vectors = [int("".join(columns[nslots - 1 - s]), 2) for s in range(nslots)]
-        yield run, vectors, (1 << len(run)) - 1
+    if within is None:
+        within = (1 << len(rules)) - 1
+    stack = [(0, 0)]
+    while stack:
+        mask, start = stack.pop()
+        yield mask
+        free = within & ~mask & -(1 << start)
+        while free:
+            bit = free & -free
+            free ^= bit
+            child = extend(mask, bit, ~within | (bit - 1) & ~mask)
+            if child:
+                stack.append((child, bit.bit_length()))
 
 
 def _edges_closed(g: ColouredGraph, propagating: frozenset[str]) -> bool:
@@ -719,17 +700,22 @@ def _weyl_orbit_representatives(n: int) -> list[ColouredGraph]:
     return [g for _, g in results]
 
 
-SCAN_LIMIT = 4  # 2^(n^2+n) masks: 2^20 at n = 4
+# Not the cost of 2^(n^2+n) masks: `closed_masks` lists the 83,172
+# crystallographs on 6 nodes in 0.3 s (2-vCPU Xeon, Python 3.11.7).  4 stays
+# for verify, which samples the bijection above it, and for the sampled case
+# count that a benchmark self-test pins.
+SCAN_LIMIT = 4
 ORBIT_LIMIT = 5  # serialises every orbit's images: 9,044 graphs in 316 orbits at n = 5
 
 
 def enumerate_crystallographs(n: int, mode: str = "all"):
     """Stream graphs on n nodes passing the requested predicate.
 
-    mode "all" / "quasi" filter every bichromatic graph (n <= SCAN_LIMIT);
-    "up_to_weyl" yields one canonical representative per Weyl orbit of
-    crystallographs (n <= ORBIT_LIMIT), built from the classification rather
-    than by scanning.  Output is sorted by canonical serialisation.
+    mode "all" / "quasi" lists the closed masks of the crystal or quasi
+    rules with `closed_masks` (n <= SCAN_LIMIT); "up_to_weyl" yields one
+    canonical representative per Weyl orbit of crystallographs
+    (n <= ORBIT_LIMIT), built from the classification rather than from the
+    rules.  Output is sorted by canonical serialisation.
     """
     if mode not in ("all", "quasi", "up_to_weyl"):
         raise ValueError(f"unknown mode: {mode!r}")
@@ -743,10 +729,6 @@ def enumerate_crystallographs(n: int, mode: str = "all"):
     if n > SCAN_LIMIT:
         raise ValueError(f"n={n} exceeds the enumeration limit {SCAN_LIMIT}")
     rules = closure_rules(n, CRYSTAL_PROPAGATING if mode == "all" else QUASI_PROPAGATING)
-    found = [
-        graph_from_slot_mask(n, masks[k])
-        for masks, vectors, full in mask_slices(n * n + n)
-        for k in set_bits(closed_slices(vectors, full, rules))
-    ]
+    found = [graph_from_slot_mask(n, mask) for mask in closed_masks(rules)]
     found.sort(key=graph_to_json)
     yield from found

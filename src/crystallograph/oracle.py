@@ -14,15 +14,15 @@ and b.  `LineTables` keeps these images in one table, from `rootsys.reflect`
 alone: only the numbering is read from the graph correspondence, never a
 closure rule or Weyl action.
 
-`bijection_sweep` puts every scanned mask through the quasi rules, the
-crystal rules and the oracle, 2^14 masks at a time: `crystal.mask_slices`
-(or `transposed_slices`, for sampled masks) holds a run of masks as one int
-per slot, and `crystal.closed_slices` turns
-each side's rules into an accept vector for the whole run.  The oracle's
-rules are `LineTables.rules`, "lines a and b force the lines of sigma_a(b)
-and sigma_b(a)", read off the image table; `LineTables.is_subsystem` stays
-as their one-mask reference.  No side gates another, and only the masks the
-crystal rules or the oracle accept are decoded into graphs.
+`bijection_sweep` compares the crystal rules with the oracle's rules,
+`LineTables.rules`: "lines a and b force the lines of sigma_a(b) and
+sigma_b(a)", read off the image table, with `LineTables.is_subsystem` as
+their one-mask reference.  Exhaustively, `crystal.closed_masks` lists the
+family of masks each side accepts, and the quasi family is counted; two
+exact families are equal exactly when every mask gets the same answer from
+both sides.  Sampled, each draw goes through `crystal.closed` on all three
+tables.  No side gates another, and only the masks the crystal rules or
+the oracle accept are decoded into graphs.
 
 The sampled suites draw the same graph or pair again and again (at n = 6
 and the default seed, 1,500 distinct pairs in 2,000 and 1,404 distinct
@@ -58,17 +58,14 @@ from .crystal import (
     bipartite_normalize,
     classify_components,
     closed,
-    closed_slices,
+    closed_masks,
     closure_rules,
     enumerate_crystallographs,
     graph_from_slot_mask,
     is_crystallograph,
     is_quasi_crystallograph,
-    mask_slices,
     model_edges,
-    set_bits,
     slot_mask,
-    transposed_slices,
 )
 from .graphs import (
     BICHROMATIC,
@@ -182,7 +179,7 @@ def line_tables(n: int) -> LineTables:
 
 
 # ---------------------------------------------------------------------------
-# closed-form labelled counts (cross-checks for the exhaustive scans)
+# closed-form labelled counts (cross-checks for the enumerations)
 
 
 def _block_type_count(m: int, quasi: bool) -> int:
@@ -286,27 +283,24 @@ def random_nested_pair(
     return g, gp
 
 
-PAIR_LIMIT = 3  # walks every sub-mask of every crystallograph: 2,043 pairs at n = 3
+PAIR_LIMIT = 3  # verify checks every pair: 2,043 at n = 3, 40,244 at n = 4
 
 
 def nested_pairs_exhaustive(n: int):
     """Every nested crystallograph pair (gp classical) on n nodes; n <= PAIR_LIMIT.
 
-    gp runs over the sub-masks of g's slot mask that pass the closure rules.
+    For each crystallograph g, in enumeration order, gp runs over the masks
+    inside g's slot mask that pass the closure rules, listed by
+    `closed_masks` within that mask.
     """
     if n > PAIR_LIMIT:
         raise ValueError(f"n={n} exceeds the exhaustive pair limit {PAIR_LIMIT}")
     rules = closure_rules(n, CRYSTAL_PROPAGATING)
     for g in enumerate_crystallographs(n, "all"):
-        g_mask = mask = slot_mask(g)
-        while True:
-            if closed(mask, rules):
-                gp = graph_from_slot_mask(n, mask)
-                if not classify_components(gp).has_bipartite():
-                    yield g, gp
-            if not mask:
-                break
-            mask = (mask - 1) & g_mask
+        for mask in closed_masks(rules, within=slot_mask(g)):
+            gp = graph_from_slot_mask(n, mask)
+            if not classify_components(gp).has_bipartite():
+                yield g, gp
 
 
 # ---------------------------------------------------------------------------
@@ -326,14 +320,16 @@ class EnumerationSummary:
 def bijection_sweep(n: int, samples: int | None = None, seed: int = RNG_DEFAULT_SEED):
     """Compare the graph closure rules with the reflection-closure mask oracle.
 
-    Exhaustive when samples is None (all 2^(n^2+n) graphs); otherwise over
-    `samples` seeded random graphs.  The masks go through in slices of
-    `crystal.mask_slices` or `transposed_slices`, one vector per slot, and
-    `closed_slices` gives each side's accept vector in one pass over its
-    rules: the quasi rules, the crystal rules, and the oracle's `rules` for
-    every slot mask read as the line mask it also is.  Only the masks that
-    the crystal rules or the oracle accept are decoded, in mask order, and
-    those also go through is_crystallograph.
+    Exhaustive when samples is None: `closed_masks` lists the family of
+    slot masks the crystal rules accept and the family of line masks the
+    oracle's `rules` accept (a slot mask is the line mask it also is), and
+    counts the quasi family.  Each family is exact, so the two are equal
+    exactly when every one of the 2^(n^2+n) masks, all counted as checked,
+    gets the same answer from both sides.  Otherwise `samples` seeded random
+    masks are drawn one at a time, and each goes through `closed` on the
+    quasi, crystal and oracle rules.  Either way only the masks that the
+    crystal rules or the oracle accept are decoded, in mask order or draw
+    order, and those also go through is_crystallograph.
     Returns (checked, crystallograph_list, quasi_count, failures).
     """
     tables = line_tables(n)
@@ -341,27 +337,31 @@ def bijection_sweep(n: int, samples: int | None = None, seed: int = RNG_DEFAULT_
     quasi_rules = closure_rules(n, QUASI_PROPAGATING)
 
     if samples is None:
-        slices = mask_slices(tables.count)
+        checked = 1 << tables.count
+        crystal = set(closed_masks(crystal_rules))
+        root = set(closed_masks(tables.rules))
+        quasi_count = sum(1 for _ in closed_masks(quasi_rules))
+        accepted = ((mask, mask in crystal, mask in root) for mask in sorted(crystal | root))
     else:
+        checked = samples
         rng = random.Random(seed)
-        slices = transposed_slices(tables.count, [rng.getrandbits(tables.count) for _ in range(samples)])
+        quasi_count = 0
+        accepted = []
+        for _ in range(samples):
+            mask = rng.getrandbits(tables.count)
+            quasi_count += closed(mask, quasi_rules)
+            graph_side, root_side = closed(mask, crystal_rules), closed(mask, tables.rules)
+            if graph_side or root_side:
+                accepted.append((mask, graph_side, root_side))
 
     crystallographs: list[ColouredGraph] = []
-    quasi_count = 0
     failures: list[str] = []
-    checked = 0
-    for masks, vectors, full in slices:
-        checked += len(masks)
-        quasi_count += closed_slices(vectors, full, quasi_rules).bit_count()
-        crystal = closed_slices(vectors, full, crystal_rules)
-        root = closed_slices(vectors, full, tables.rules)
-        for k in set_bits(crystal | root):
-            g = graph_from_slot_mask(n, masks[k])
-            graph_side, root_side = bool(crystal >> k & 1), bool(root >> k & 1)
-            if not graph_side == root_side == is_crystallograph(g):
-                failures.append(f"bijection mismatch: {graph_to_json(g)}")
-            if graph_side:
-                crystallographs.append(g)
+    for mask, graph_side, root_side in accepted:
+        g = graph_from_slot_mask(n, mask)
+        if not graph_side == root_side == is_crystallograph(g):
+            failures.append(f"bijection mismatch: {graph_to_json(g)}")
+        if graph_side:
+            crystallographs.append(g)
     return checked, crystallographs, quasi_count, failures
 
 

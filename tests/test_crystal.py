@@ -172,8 +172,8 @@ def test_closure_rules_match_statement():
 def test_quasi_rules_are_weakened_crystal_rules():
     """Each quasi implication is a crystal one with the same premises and a
     subset of its required slots, so a mask the quasi rules reject the
-    crystal rules reject too: `oracle.bijection_sweep` runs the crystal
-    rules only on quasi-closed masks on the strength of this."""
+    crystal rules reject too: every crystallograph is a
+    quasi-crystallograph."""
     for n in range(1, 9):
         crystal_rules = closure_rules(n, CRYSTAL_PROPAGATING)
         for s, row in enumerate(closure_rules(n, QUASI_PROPAGATING)):

@@ -257,8 +257,9 @@ def test_bijection_sweep_small(sweep3):
 
 
 def test_bijection_sweep_decodes_only_accepted_masks(monkeypatch):
-    # the rules run on slices of masks, never on one mask at a time, and only
-    # the masks a side accepts are decoded and put through is_crystallograph
+    # the rules are read by the enumerator, never one mask at a time, and
+    # only the masks a side accepts are decoded and put through
+    # is_crystallograph
     calls = Counter()
 
     def counting(name, real):

@@ -3,8 +3,10 @@
 `bijection_sweep`, `enumerate_crystallographs` and `nested_pairs_exhaustive`
 list both sides of the bijection through one enumerator,
 `crystal.closed_masks`.  A fault there would move both sides at once, so it
-is checked here against `closed` and `LineTables.is_subsystem`, one mask at
-a time, and its counts against the closed forms.
+is checked here against `closed`, one mask at a time, and its counts
+against the closed forms; `test_slices.py` checks every family at n <= 3
+over the whole mask space, the root family also against
+`LineTables.is_subsystem`.
 """
 
 from __future__ import annotations
@@ -31,26 +33,6 @@ def _listed_once(rules, within=None) -> set[int]:
     masks = list(closed_masks(rules, within))
     assert max(Counter(masks).values()) == 1
     return set(masks)
-
-
-@pytest.mark.parametrize("n", [0, 1, 2, 3])
-def test_closed_masks_match_the_per_mask_references(n):
-    tables = line_tables(n)
-    every = range(1 << tables.count)
-    families = {}
-    for name, rules in (
-        ("quasi", closure_rules(n, QUASI_PROPAGATING)),
-        ("crystal", closure_rules(n, CRYSTAL_PROPAGATING)),
-        ("roots", tables.rules),
-    ):
-        families[name] = _listed_once(rules)
-        assert families[name] == {mask for mask in every if closed(mask, rules)}, name
-    assert families["roots"] == {mask for mask in every if tables.is_subsystem(mask)}
-    assert {name: len(family) for name, family in families.items()} == {
-        "quasi": [1, 4, 26, 204][n],
-        "crystal": [1, 4, 22, 144][n],
-        "roots": [1, 4, 22, 144][n],
-    }
 
 
 def test_graph_families_match_closed_on_every_mask_at_4():

@@ -194,11 +194,10 @@ def _cmd_arrangement(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    stream = crystal.enumerate_crystallographs(args.nodes, args.mode)
     if args.count_only:
-        print(sum(1 for _ in stream))
+        print(crystal.count_enumerated(args.nodes, args.mode))
     else:
-        for g in stream:
+        for g in crystal.enumerate_crystallographs(args.nodes, args.mode):
             print(graph_to_json(g))
     return 0
 

@@ -607,12 +607,6 @@ def graph_from_slot_mask(n: int, mask: int, palette: str = BICHROMATIC) -> Colou
     )
 
 
-def all_bichromatic_graphs(n: int):
-    """Every bichromatic graph on n nodes (2^(n^2+n) of them), mask order."""
-    for mask in range(1 << (n * n + n)):
-        yield graph_from_slot_mask(n, mask)
-
-
 def _classical_component_menu(m: int) -> list[tuple[str, ColouredGraph]]:
     """Classical connected models on m nodes, in tag order."""
     nodes = tuple(range(1, m + 1))
@@ -708,6 +702,22 @@ SCAN_LIMIT = 4
 ORBIT_LIMIT = 5  # serialises every orbit's images: 9,044 graphs in 316 orbits at n = 5
 
 
+def _enumeration_rules(n: int, mode: str) -> HornRules | None:
+    """Check (n, mode) against the enumeration limits; the closure rules of
+    mode "all" or "quasi", None for "up_to_weyl"."""
+    if mode not in ("all", "quasi", "up_to_weyl"):
+        raise ValueError(f"unknown mode: {mode!r}")
+    if n < 0:
+        raise ValueError("node count must be >= 0")
+    if mode == "up_to_weyl":
+        if n > ORBIT_LIMIT:
+            raise ValueError(f"n={n} exceeds the up_to_weyl limit {ORBIT_LIMIT}")
+        return None
+    if n > SCAN_LIMIT:
+        raise ValueError(f"n={n} exceeds the enumeration limit {SCAN_LIMIT}")
+    return closure_rules(n, CRYSTAL_PROPAGATING if mode == "all" else QUASI_PROPAGATING)
+
+
 def enumerate_crystallographs(n: int, mode: str = "all"):
     """Stream graphs on n nodes passing the requested predicate.
 
@@ -717,18 +727,20 @@ def enumerate_crystallographs(n: int, mode: str = "all"):
     (n <= ORBIT_LIMIT), built from the classification rather than from the
     rules.  Output is sorted by canonical serialisation.
     """
-    if mode not in ("all", "quasi", "up_to_weyl"):
-        raise ValueError(f"unknown mode: {mode!r}")
-    if n < 0:
-        raise ValueError("node count must be >= 0")
-    if mode == "up_to_weyl":
-        if n > ORBIT_LIMIT:
-            raise ValueError(f"n={n} exceeds the up_to_weyl limit {ORBIT_LIMIT}")
+    rules = _enumeration_rules(n, mode)
+    if rules is None:
         yield from _weyl_orbit_representatives(n)
         return
-    if n > SCAN_LIMIT:
-        raise ValueError(f"n={n} exceeds the enumeration limit {SCAN_LIMIT}")
-    rules = closure_rules(n, CRYSTAL_PROPAGATING if mode == "all" else QUASI_PROPAGATING)
     found = [graph_from_slot_mask(n, mask) for mask in closed_masks(rules)]
     found.sort(key=graph_to_json)
     yield from found
+
+
+def count_enumerated(n: int, mode: str = "all") -> int:
+    """How many graphs `enumerate_crystallographs(n, mode)` yields, under the
+    same limits; modes "all" and "quasi" count the closed masks without
+    decoding them."""
+    rules = _enumeration_rules(n, mode)
+    if rules is None:
+        return len(_weyl_orbit_representatives(n))
+    return sum(1 for _ in closed_masks(rules))

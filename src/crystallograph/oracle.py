@@ -570,6 +570,49 @@ def cardinality_failures() -> list[str]:
     return failures
 
 
+def _swept_failures(n: int) -> tuple[int, int, list[str]]:
+    """The bijection, orbit, classification and kernel suites at n <= SCAN_LIMIT.
+
+    Returns (crystallograph count, quasi count, failures).  The swept list
+    of crystallographs is read by all four suites and dies with this call.
+    """
+    _, crystallographs, quasi_count, failures = bijection_sweep(n)
+    crystallograph_count = len(crystallographs)
+    if crystallograph_count != count_crystallographs(n):
+        failures.append(
+            f"crystallograph count {crystallograph_count} != closed form {count_crystallographs(n)}"
+        )
+    if quasi_count != count_quasi_crystallographs(n):
+        failures.append(
+            f"quasi count {quasi_count} != closed form {count_quasi_crystallographs(n)}"
+        )
+    failures += weyl_orbit_failures(n, crystallographs)
+    failures += classification_failures(crystallographs)
+    failures += kernel_failures(crystallographs)
+    return crystallograph_count, quasi_count, failures
+
+
+def _crystallograph_draws(n: int, count: int, seed: int):
+    """`count` graphs drawn by `random_crystallograph` from one seeded stream."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield random_crystallograph(n, rng)
+
+
+def _sampled_failures(n: int, samples: int, seed: int) -> tuple[int, int, list[str]]:
+    """The sampled bijection, classification and kernel suites at n > SCAN_LIMIT.
+
+    Returns the closed-form counts and the failures.  The classification
+    and kernel suites each read their own stream of the same seeded draws,
+    so no draw is held once its suite has checked it.
+    """
+    _, _, _, failures = bijection_sweep(n, samples=samples, seed=seed)
+    draws = min(samples, 2000)
+    failures += classification_failures(_crystallograph_draws(n, draws, seed + 1))
+    failures += kernel_failures(_crystallograph_draws(n, draws, seed + 1))
+    return count_crystallographs(n), count_quasi_crystallographs(n), failures
+
+
 VERIFY_LIMIT = 6  # weyl_commutation_failures walks all 2^n n! = 46080 elements at n = 6
 
 
@@ -588,37 +631,25 @@ def verify_all(
     checked against the orbits counted from the sweep, while at n >= 5 it
     is closed-form only.  Deterministic for a fixed seed regardless of
     internal ordering.
+
+    No list of graphs outlives the suites that read it.  Above SCAN_LIMIT
+    the classification and kernel suites each draw their own seeded stream,
+    so memory does not grow with the number of graphs they check; at
+    n <= SCAN_LIMIT the swept list lives only in the step that runs the
+    bijection, orbit, classification and kernel suites, which returns
+    before the pair and Weyl suites start.
     """
     if n > VERIFY_LIMIT:
         raise ValueError(f"n={n} exceeds the verification limit {VERIFY_LIMIT}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     start = time.monotonic()
-    failures: list[str] = []
     total_graphs = 1 << (n * n + n)
 
     if n <= SCAN_LIMIT:
-        checked, crystallographs, quasi_count, f = bijection_sweep(n)
-        failures += f
-        crystallograph_count = len(crystallographs)
-        if crystallograph_count != count_crystallographs(n):
-            failures.append(
-                f"crystallograph count {crystallograph_count} != closed form {count_crystallographs(n)}"
-            )
-        if quasi_count != count_quasi_crystallographs(n):
-            failures.append(
-                f"quasi count {quasi_count} != closed form {count_quasi_crystallographs(n)}"
-            )
-        failures += weyl_orbit_failures(n, crystallographs)
+        crystallograph_count, quasi_count, failures = _swept_failures(n)
     else:
-        _, _, _, f = bijection_sweep(n, samples=samples, seed=seed)
-        failures += f
-        rng = random.Random(seed + 1)
-        crystallographs = [random_crystallograph(n, rng) for _ in range(min(samples, 2000))]
-        crystallograph_count = count_crystallographs(n)
-        quasi_count = count_quasi_crystallographs(n)
-    failures += classification_failures(crystallographs)
-    failures += kernel_failures(crystallographs)
+        crystallograph_count, quasi_count, failures = _sampled_failures(n, samples, seed)
 
     if n <= PAIR_LIMIT:
         failures += pair_failures(nested_pairs_exhaustive(n))

@@ -202,7 +202,7 @@ def test_criterion_10_cardinalities():
         assert len(roots_b(n)) == 2 * n * n
         assert len(roots_c(n)) == 2 * n * n
         assert len(roots_bc(n)) == 2 * n * n + 2 * n
-    from crystallograph.crystal import all_bichromatic_graphs
+    from brute_force import all_bichromatic_graphs
 
     checked = 0
     for n in (1, 2, 3):

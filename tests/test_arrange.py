@@ -96,7 +96,7 @@ def test_lift_is_a_section_of_projectify_on_quasi_graphs():
 
 
 def test_hyperplane_count_is_root_line_count():
-    from crystallograph.crystal import all_bichromatic_graphs
+    from brute_force import all_bichromatic_graphs
 
     for n in (1, 2, 3):
         for g in all_bichromatic_graphs(n):

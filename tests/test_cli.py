@@ -84,6 +84,27 @@ def test_enumerate_counts(capsys):
     assert code == 0 and out.strip() == "15"
 
 
+@pytest.mark.parametrize("mode", [[], ["--quasi"]], ids=["all", "quasi"])
+@pytest.mark.parametrize("n", range(5))
+def test_enumerate_count_only_counts_the_listed_lines(capsys, n, mode):
+    code, out, _ = run(capsys, "enumerate", "--nodes", str(n), *mode)
+    assert code == 0
+    listed = len(out.splitlines())
+    code, out, _ = run(capsys, "enumerate", "--nodes", str(n), *mode, "--count-only")
+    assert code == 0 and out == f"{listed}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--nodes", "5"], ["--nodes", "5", "--quasi"], ["--nodes", "6", "--up-to-weyl"], ["--nodes", "-1"]],
+)
+def test_enumerate_count_only_keeps_the_limits(capsys, argv):
+    listing = run(capsys, "enumerate", *argv)
+    counting = run(capsys, "enumerate", *argv, "--count-only")
+    assert listing[0] == counting[0] == 1
+    assert listing[2] == counting[2] and "error:" in counting[2]
+
+
 def test_enumerate_streams_parse_back(capsys):
     code, out, _ = run(capsys, "enumerate", "--nodes", "2")
     assert code == 0

@@ -15,7 +15,6 @@ from crystallograph.crystal import (
     QUASI_PROPAGATING,
     Component,
     InconsistencyError,
-    all_bichromatic_graphs,
     all_edge_slots,
     bipartite_normalize,
     classify_components,
@@ -54,6 +53,8 @@ from crystallograph.graphs import (
 from crystallograph.linalg import nullspace_basis
 from crystallograph.quotient import kernel_basis
 from crystallograph.rootsys import SignedPermutation, roots_a, weyl_apply, weyl_group
+
+from brute_force import all_bichromatic_graphs
 
 
 def test_is_crystallograph_classical_graphs():

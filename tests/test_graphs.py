@@ -34,8 +34,9 @@ from crystallograph.graphs import (
     straight,
     weyl_act_graph,
 )
-from crystallograph.crystal import all_bichromatic_graphs
 from crystallograph.rootsys import SignedPermutation, weyl_apply
+
+from brute_force import all_bichromatic_graphs
 
 
 def test_edge_validation():

@@ -16,7 +16,6 @@ from crystallograph.crystal import (
     InconsistencyError,
     _generator_tables,
     _mask_map_apply,
-    all_bichromatic_graphs,
     all_edge_slots,
     classify_components,
     enumerate_crystallographs,
@@ -62,6 +61,8 @@ from crystallograph.rootsys import (
     weyl_apply,
     weyl_group,
 )
+
+from brute_force import all_bichromatic_graphs
 
 
 def test_line_tables_subsystem_matches_naive_exhaustive_n2():

@@ -65,6 +65,16 @@ peak memory of `verify`.  The sweep-long memo of the `oracle` suites,
 which skips repeated draws, is keyed by slot-mask ints for the same reason
 (see `oracle._replayed_failures`).
 
+Two value-level memos hold no graph at all, since their keys are the small
+values graphs are made of: `_slot_bit(n, e)`, the bit `_slot` gives an
+interned edge, which `slot_mask` ORs over a graph's edges, and
+`model_edges(comp)`, keyed by the `Component` value, so a model matched,
+drawn or rebuilt again is one shared frozenset (`graphs._root_pair` keeps
+each edge's +- roots for `roots_from_graph` the same way).  The sampled
+suites ask for the same few edges and components over and over; each memo
+is a `functools.lru_cache` bounded by its own constant, `_SLOT_MEMO_SIZE`
+and `_MODEL_MEMO_SIZE`, and importing the package fills neither.
+
 Weyl orbits are found on slot masks too.  A signed permutation permutes the
 slots of a graph's palette, so each Coxeter generator of W(BC_n) is one
 slot map, read off `weyl_act_graph` one edge at a time.  `orbit_canonical`
@@ -199,6 +209,17 @@ def closure_rules(n: int, propagating: frozenset[str]) -> HornRules:
     )
 
 
+# Entries of the `_slot_bit` memo.  verify at n <= 6 asks for at most 133
+# distinct (n, edge) keys, n^2 + 2n per node count, so every one stays cached.
+_SLOT_MEMO_SIZE = 256
+
+
+@lru_cache(maxsize=_SLOT_MEMO_SIZE)
+def _slot_bit(n: int, e: Edge) -> int:
+    """The bit of edge e's slot on n nodes, as `_slot` computes it."""
+    return 1 << _slot(n, e.ends, e.colour)
+
+
 def slot_mask(g: ColouredGraph) -> int:
     """The graph's edges as a mask over `all_edge_slots(g.n, g.palette)`.
 
@@ -209,7 +230,7 @@ def slot_mask(g: ColouredGraph) -> int:
     n = g.n
     mask = 0
     for e in g.edges:
-        mask |= 1 << _slot(n, e.ends, e.colour)
+        mask |= _slot_bit(n, e)
     return mask
 
 
@@ -442,8 +463,19 @@ _TAG_OF_LOOPS = {loops: tag for tag, loops in _LOOP_MODELS.items()}
 _PROJECTIVE_TAG = {"C": "BorC", "CplusD": "ExoticBD"}
 
 
+# Entries of the `model_edges` memo.  `verify --nodes 6 --samples 2000` asks
+# for 909 distinct components in 38,470 calls, and 256 entries answer 88% of
+# them (128: 80%, 512: 96%); `verify --nodes 4` asks for 165, all kept.  An
+# entry holds about 0.7 kB at n = 6 (tracemalloc).
+_MODEL_MEMO_SIZE = 256
+
+
+@lru_cache(maxsize=_MODEL_MEMO_SIZE)
 def model_edges(comp: Component) -> frozenset[Edge]:
-    """The exact edge set of a component's model graph on its own node labels."""
+    """The exact edge set of a component's model graph on its own node labels.
+
+    Memoised: equal components share one frozenset, which is immutable.
+    """
     nodes = comp.nodes
     tag = comp.type
     if tag == "A":

@@ -19,7 +19,9 @@ through the table above and no second one.  Green makes `lift` undo
 An Edge is the tuple (ends, colour), validated on construction, so it
 equals, hashes and orders like that plain tuple.  Edges are built only by
 `straight` and `loop`, from a bounded memo, so each distinct (ends, colour)
-is one shared object however many graphs hold it.
+is one shared object however many graphs hold it.  `roots_from_graph`
+reads each edge's pair +-alpha from another bounded memo, keyed by
+(n, edge), so the roots of the same few edges are not built again and again.
 
 Graphs are immutable values; equality is literal (same node count, same edge
 set).  The constructor freezes whatever edge iterable it is given, so every
@@ -138,25 +140,36 @@ graph = ColouredGraph
 # main correspondence: bichromatic graphs <-> symmetric subsets of BC_n
 
 
+# Entries of the `_root_pair` memo: as many (n, edge) keys as the slot bits
+# of `crystal.slot_mask`, at most 112 bichromatic ones for verify at n <= 6.
+_ROOT_MEMO_SIZE = 256
+
+
+@lru_cache(maxsize=_ROOT_MEMO_SIZE)
+def _root_pair(n: int, e: Edge) -> tuple[Root, Root]:
+    """The roots +-alpha in Q^n of a red or green edge, by the table above."""
+    ends, colour = e
+    pos = [0] * n
+    neg = [0] * n
+    if len(ends) == 1:
+        k = ends[0] - 1
+        pos[k] = 1 if colour == RED else 2
+        neg[k] = -pos[k]
+    else:
+        i, j = ends[0] - 1, ends[1] - 1
+        pos[i], neg[i] = 1, -1
+        pos[j], neg[j] = (-1, 1) if colour == RED else (1, -1)
+    return tuple(pos), tuple(neg)
+
+
 def roots_from_graph(g: ColouredGraph) -> RootSet:
     """The symmetric subset of BC_n encoded by a bichromatic graph."""
     if g.palette != BICHROMATIC:
         raise ValueError("roots_from_graph needs a bichromatic graph")
     n = g.n
     out: set[Root] = set()
-    for ends, colour in g.edges:
-        pos = [0] * n
-        neg = [0] * n
-        if len(ends) == 1:
-            k = ends[0] - 1
-            pos[k] = 1 if colour == RED else 2
-            neg[k] = -pos[k]
-        else:
-            i, j = ends[0] - 1, ends[1] - 1
-            pos[i], neg[i] = 1, -1
-            pos[j], neg[j] = (-1, 1) if colour == RED else (1, -1)
-        out.add(tuple(pos))
-        out.add(tuple(neg))
+    for e in g.edges:
+        out.update(_root_pair(n, e))
     return frozenset(out)
 
 

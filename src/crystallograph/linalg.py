@@ -54,12 +54,20 @@ def rref(rows: Iterable[Sequence[int | Fraction]]) -> tuple[list[list[Fraction]]
         m[r], m[pivot_row] = m[pivot_row], m[r]
         top = m[r]
         lead = top[c]
-        for i in range(len(m)):
-            f = m[i][c]
+        # a row that becomes zero is dropped: it can give no later pivot.
+        # Rows above r keep their own pivot entries, so only rows below go.
+        kept = []
+        for i, row in enumerate(m):
+            f = row[c]
             if i != r and f:
-                row = [x * lead - f * y for x, y in zip(m[i], top)]
+                row = [x * lead - f * y for x, y in zip(row, top)]
                 g = gcd(*row)
-                m[i] = [x // g for x in row] if g > 1 else row
+                if not g:
+                    continue
+                if g > 1:
+                    row = [x // g for x in row]
+            kept.append(row)
+        m = kept
         pivots.append(c)
         r += 1
         if r == len(m):

@@ -32,6 +32,14 @@ of its first occurrence for every repeat, at the repeat's own place: the
 list is the one a check of every item would give.  Their memo lives for
 one call and is keyed by slot masks, plain ints scoped by node count and
 palette, so it holds no graph.
+
+The kernel suite, `kernel_failures`, compares `quotient.kernel_basis` with
+the generic nullspace of the graph's roots, one root per +- line, and then
+checks `quotient.orthogonal_projection` in integers: cleared to P / D
+(`linalg.clear_denominators`), the projection is idempotent iff
+P.P == D.P, symmetric iff P is, fixes a kernel vector v / d iff
+P.v == D.v, and its image is annihilated by a root alpha iff alpha.P == 0.
+No Fraction matrix is multiplied.
 """
 
 from __future__ import annotations
@@ -452,22 +460,27 @@ def _kernel_lines(g: ColouredGraph) -> list[str]:
             return []
         basis = kernel_basis(g)
         roots = sorted(roots_from_graph(g))
-        generic = linalg.nullspace_basis(roots, g.n)
+        # negation reverses the order, so each half of the sorted roots holds
+        # one root of every +- line, which both checks on roots need alone
+        half = len(roots) // 2
+        generic = linalg.nullspace_basis(roots[half:], g.n)
         if not linalg.span_equal(basis.vectors, generic):
             return [f"kernel span mismatch: {graph_to_json(g)}"]
-        proj = orthogonal_projection(g)
-        if linalg.mat_mul(proj, proj) != proj:
+        # the projection is P / D with D > 0, so it is idempotent iff
+        # P.P == D.P, symmetric iff P is, and fixes vec = v / d iff P.v == D.v
+        P, D = linalg.clear_denominators(orthogonal_projection(g))
+        columns = list(zip(*P))
+        if any(sum(map(mul, row, col)) != D * x for row in P for col, x in zip(columns, row)):
             failures.append(f"projection not idempotent: {graph_to_json(g)}")
-        if any(proj[i][j] != proj[j][i] for i in range(g.n) for j in range(g.n)):
+        if any(P[i][j] != P[j][i] for i in range(g.n) for j in range(g.n)):
             failures.append(f"projection not symmetric: {graph_to_json(g)}")
-        # proj = P / D and vec = v / d, so proj.vec == vec iff P.v == D.v
-        P, D = linalg.clear_denominators(proj)
         for vec in basis.vectors:
             (v,), _ = linalg.clear_denominators([vec])
             if any(sum(map(mul, row, v)) != D * x for row, x in zip(P, v)):
                 failures.append(f"projection moves a kernel vector: {graph_to_json(g)}")
-        columns = list(zip(*P))
-        for alpha in roots:
+        # failing roots come in +- pairs, so the least, the one named, is
+        # in the lower half
+        for alpha in roots[:half]:
             if any(sum(map(mul, alpha, col)) for col in columns):
                 failures.append(f"projection image not annihilated by {alpha}: {graph_to_json(g)}")
                 break

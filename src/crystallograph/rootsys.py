@@ -137,8 +137,10 @@ class SignedPermutation:
         n = len(self.perm)
         if sorted(self.perm) != list(range(n)):
             raise ValueError(f"not a permutation of 0..{n - 1}: {self.perm}")
-        if len(self.signs) != n or any(s not in (-1, 1) for s in self.signs):
-            raise ValueError(f"signs must be +-1 of length {n}: {self.signs}")
+        signs = self.signs
+        # n entries, each equal to 1 or -1, exactly when the two counts sum to n
+        if len(signs) != n or signs.count(1) + signs.count(-1) != n:
+            raise ValueError(f"signs must be +-1 of length {n}: {signs}")
 
     @property
     def n(self) -> int:
@@ -172,8 +174,19 @@ def weyl_group(n: int) -> Iterator[SignedPermutation]:
 
 
 def weyl_apply(w: SignedPermutation, phi: frozenset[Root] | set[Root]) -> RootSet:
-    """Image of a root set under a signed permutation."""
-    return frozenset(w.apply(alpha) for alpha in phi)
+    """Image of a root set under a signed permutation, each root as `w.apply`
+    maps it: coordinate j of the image is signs[i] * alpha[i] for the i
+    with perm[i] = j, read off one table built per call."""
+    n = w.n
+    source = [(0, 0)] * n
+    for i, (j, s) in enumerate(zip(w.perm, w.signs)):
+        source[j] = (i, s)
+    out = set()
+    for alpha in phi:
+        if len(alpha) != n:
+            raise ValueError(f"dimension mismatch: {len(alpha)} vs {n}")
+        out.add(tuple([s * alpha[i] for i, s in source]))
+    return frozenset(out)
 
 
 WEYL_LIMIT = 6  # |W(BC_6)| = 46080 signed permutations

@@ -1,0 +1,179 @@
+"""The per-edge and per-component memos give the values a fresh build gives,
+and the integer kernel checks give the lines of the Fraction route."""
+
+from __future__ import annotations
+
+import random
+import subprocess
+import sys
+from dataclasses import replace
+from fractions import Fraction
+from operator import mul
+
+import pytest
+from brute_force import all_graphs, reference_roots, reference_slot_mask
+
+from crystallograph import crystal, linalg, oracle
+from crystallograph.crystal import Component, classify_components, enumerate_crystallographs, model_edges
+from crystallograph.graphs import BICHROMATIC, TRICHROMATIC, graph_to_json, roots_from_graph
+from crystallograph.quotient import KernelBasis
+
+# every memo that serves one value per edge or per component
+VALUE_MEMOS = ("crystal.model_edges", "crystal._slot_bit", "graphs._root_pair")
+
+
+def test_model_edges_shares_one_frozenset_per_component():
+    checked = set()
+    for n in range(5):
+        for g in enumerate_crystallographs(n, "quasi"):
+            for comp in classify_components(g).components:
+                edges = model_edges(comp)
+                # a component built apart is the same key, so the same object
+                assert model_edges(replace(comp)) is edges
+                assert type(edges) is frozenset
+                assert edges == model_edges.__wrapped__(comp)
+                checked.add(comp)
+    assert len(checked) > 100
+
+
+def test_model_edges_raises_on_an_unknown_tag_every_time():
+    comp = Component((1, 2), "E8")
+    for _ in range(3):
+        with pytest.raises(ValueError, match="unknown component tag: 'E8'"):
+            model_edges(comp)
+
+
+@pytest.mark.parametrize("palette", [BICHROMATIC, TRICHROMATIC])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_slot_masks_and_roots_match_the_references_on_every_graph(n, palette):
+    count = 0
+    for g in all_graphs(n, palette):
+        expected = reference_slot_mask(g)
+        # twice: once filling the memo, once reading it
+        assert (crystal.slot_mask(g), crystal.slot_mask(g)) == (expected, expected)
+        if palette == BICHROMATIC:
+            roots = reference_roots(g)
+            assert roots_from_graph(g) == roots_from_graph(g) == roots
+        else:
+            with pytest.raises(ValueError, match="needs a bichromatic graph"):
+                roots_from_graph(g)
+        count += 1
+    assert count == 2 ** (n * n + n + (n if palette == TRICHROMATIC else 0))
+
+
+def test_importing_the_cli_fills_no_value_memo():
+    probe = "\n".join(
+        [
+            "import crystallograph.cli",
+            "from crystallograph import crystal, graphs",
+            f"print(*(memo.cache_info().currsize for memo in ({', '.join(VALUE_MEMOS)})))",
+        ]
+    )
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["0"] * len(VALUE_MEMOS)
+
+
+# ---------------------------------------------------------------------------
+# the kernel suite against the Fraction route it replaced
+
+
+def fraction_kernel_lines(g):
+    """`oracle._kernel_lines` as it was: Fraction matrix product, nullspace
+    over every root."""
+    failures = []
+    try:
+        if classify_components(g).has_bipartite():
+            return []
+        basis = oracle.kernel_basis(g)
+        roots = sorted(roots_from_graph(g))
+        generic = linalg.nullspace_basis(roots, g.n)
+        if not linalg.span_equal(basis.vectors, generic):
+            return [f"kernel span mismatch: {graph_to_json(g)}"]
+        proj = oracle.orthogonal_projection(g)
+        if linalg.mat_mul(proj, proj) != proj:
+            failures.append(f"projection not idempotent: {graph_to_json(g)}")
+        if any(proj[i][j] != proj[j][i] for i in range(g.n) for j in range(g.n)):
+            failures.append(f"projection not symmetric: {graph_to_json(g)}")
+        P, D = linalg.clear_denominators(proj)
+        for vec in basis.vectors:
+            (v,), _ = linalg.clear_denominators([vec])
+            if any(sum(map(mul, row, v)) != D * x for row, x in zip(P, v)):
+                failures.append(f"projection moves a kernel vector: {graph_to_json(g)}")
+        columns = list(zip(*P))
+        for alpha in roots:
+            if any(sum(map(mul, alpha, col)) for col in columns):
+                failures.append(f"projection image not annihilated by {alpha}: {graph_to_json(g)}")
+                break
+    except (crystal.InconsistencyError, ValueError) as exc:
+        failures.append(f"kernel check failed: {graph_to_json(g)}: {exc}")
+    return failures
+
+
+def _corrupt_matrix(rows, rng):
+    m = [list(row) for row in rows]
+    n = len(m)
+    kind = rng.randrange(6)
+    if kind == 0 or not n:
+        pass
+    elif kind == 1:  # one entry changed
+        m[rng.randrange(n)][rng.randrange(n)] = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+    elif kind == 2:  # symmetric but scaled, so not idempotent
+        m = [[2 * x for x in row] for row in m]
+    elif kind == 3:  # two rows swapped
+        i, j = rng.randrange(n), rng.randrange(n)
+        m[i], m[j] = m[j], m[i]
+    elif kind == 4:  # a row zeroed
+        m[rng.randrange(n)] = [Fraction(0)] * n
+    elif n > 1:  # ragged; the projection is always square, never 1 x 2
+        m[rng.randrange(n)].append(Fraction(1))
+    return tuple(tuple(row) for row in m)
+
+
+def _corrupt_basis(basis, rng):
+    if not basis.vectors or rng.randrange(4):
+        return basis
+    vectors = list(basis.vectors)
+    vectors[rng.randrange(len(vectors))] = tuple(Fraction(rng.randint(0, 2)) for _ in vectors[0])
+    return KernelBasis(basis.parts, tuple(vectors))
+
+
+def _kernel_graphs():
+    for n in range(5):
+        yield from enumerate_crystallographs(n, "all")
+    for n, seed in ((5, 11), (6, 12)):
+        rng = random.Random(seed)
+        for _ in range(200):
+            yield oracle.random_crystallograph(n, rng)
+
+
+def test_integer_kernel_lines_equal_the_fraction_route_on_corrupted_projections(monkeypatch):
+    # each graph's corruption is seeded by the graph, so both routes see the same
+    projection, basis_of = oracle.orthogonal_projection, oracle.kernel_basis
+
+    def seeded(g, what):
+        return random.Random(f"{what} {g.n} {crystal.slot_mask(g)}")
+
+    monkeypatch.setattr(oracle, "orthogonal_projection", lambda g: _corrupt_matrix(projection(g), seeded(g, "P")))
+    monkeypatch.setattr(oracle, "kernel_basis", lambda g: _corrupt_basis(basis_of(g), seeded(g, "basis")))
+    kinds = set()
+    for g in _kernel_graphs():
+        lines = oracle._kernel_lines(g)
+        assert lines == fraction_kernel_lines(g), graph_to_json(g)
+        kinds |= {line.split(":")[0].split(" by ")[0] for line in lines}
+    assert kinds == {
+        "kernel span mismatch",
+        "projection not idempotent",
+        "projection not symmetric",
+        "projection moves a kernel vector",
+        "projection image not annihilated",
+        "kernel check failed",
+    }
+
+
+def test_one_root_per_line_gives_the_nullspace_of_every_root():
+    for g in _kernel_graphs():
+        roots = sorted(roots_from_graph(g))
+        half = roots[len(roots) // 2 :]
+        assert sorted(half + [tuple(-c for c in a) for a in half]) == roots
+        assert linalg.nullspace_basis(half, g.n) == linalg.nullspace_basis(roots, g.n)

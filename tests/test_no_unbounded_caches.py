@@ -60,6 +60,26 @@ def unbounded_caches(source: str, filename: str) -> list[str]:
     return found
 
 
+def unnamed_sizes(source: str, filename: str) -> list[str]:
+    """`file:line name` of every `lru_cache` decorator whose size is neither
+    a named constant nor 1 (a memo of one value), so each memo's bound is
+    stated, and argued, once."""
+    tree = ast.parse(source, filename=filename)
+    modules, _, lru = _functools_names(tree)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for d in node.decorator_list:
+                call = d if isinstance(d, ast.Call) else None
+                if not _refers_to(call.func if call else d, "lru_cache", modules, lru):
+                    continue
+                sizes = [k.value for k in call.keywords if k.arg == "maxsize"] + call.args[:1] if call else []
+                size = sizes[0] if sizes else None
+                if not (isinstance(size, ast.Name) or isinstance(size, ast.Constant) and size.value == 1):
+                    found.append(f"{filename}:{node.lineno} {node.name}")
+    return found
+
+
 def test_package_has_no_unbounded_caches():
     root = Path(crystallograph.__file__).parent
     found = []
@@ -114,3 +134,41 @@ def c(g): ...
 def cache_user(cache): return cache
 """
     assert unbounded_caches(allowed, "y.py") == []
+
+
+def test_package_sizes_every_memo_by_a_named_constant():
+    root = Path(crystallograph.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        found += unnamed_sizes(path.read_text(encoding="utf-8"), path.name)
+    assert found == []
+
+
+def test_size_guard_flags_literal_and_default_sizes():
+    source = """
+import functools
+from functools import lru_cache
+
+SIZE = 8
+
+@lru_cache(maxsize=SIZE)
+def named(g): ...
+
+@functools.lru_cache(SIZE)
+def named_positional(g): ...
+
+@lru_cache(maxsize=1)
+def single(g): ...
+
+@lru_cache(maxsize=8)
+def literal(g): ...
+
+@functools.lru_cache
+def default(g): ...
+
+@lru_cache()
+def empty_call(g): ...
+"""
+    assert [line.split()[1] for line in unnamed_sizes(source, "x.py")] == [
+        "literal", "default", "empty_call",
+    ]

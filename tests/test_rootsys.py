@@ -163,6 +163,53 @@ def test_weyl_apply_examples():
     assert weyl_apply(swap, frozenset({(1, 0), (-1, 0)})) == frozenset({(0, 1), (0, -1)})
 
 
+def test_weyl_apply_maps_each_root_as_apply_does():
+    for n in range(4):
+        phi = roots_bc(n)
+        for w in weyl_group(n):
+            assert weyl_apply(w, phi) == frozenset(w.apply(alpha) for alpha in phi)
+    with pytest.raises(ValueError, match=r"^dimension mismatch: 2 vs 3$"):
+        weyl_apply(SignedPermutation.identity(3), {(1, 0, 0), (1, -1)})
+
+
+def _listed_validation_error(perm, signs):
+    """The message of the checks as first written, None when they pass."""
+    n = len(perm)
+    if sorted(perm) != list(range(n)):
+        return f"not a permutation of 0..{n - 1}: {perm}"
+    if len(signs) != n or any(s not in (-1, 1) for s in signs):
+        return f"signs must be +-1 of length {n}: {signs}"
+    return None
+
+
+@pytest.mark.parametrize(
+    "perm, signs",
+    [
+        ((), ()),
+        ((0,), (-1,)),
+        ((1, 0, 2), (1, -1, 1)),
+        ((0, 1), (1.0, True)),
+        ((1, 1), (1, 1)),
+        ((0, 2), (1, 1)),
+        ((0, 1), (1,)),
+        ((0, 1), (1, -1, 1)),
+        ((0, 1), (1, 0)),
+        ((0, 1), (2, -2)),
+        ((0, 1), (1, [1])),
+        ((0, 1, 2), (1, 1, 1, -1)),
+    ],
+)
+def test_signed_permutation_validation_keeps_its_errors(perm, signs):
+    expected = _listed_validation_error(perm, signs)
+    if expected is None:
+        w = SignedPermutation(perm, signs)
+        assert (w.perm, w.signs) == (perm, signs)
+    else:
+        with pytest.raises(ValueError) as info:
+            SignedPermutation(perm, signs)
+        assert str(info.value) == expected
+
+
 def test_weyl_apply_preserves_subsystems_and_cardinality():
     rng = random.Random(3)
     group = list(weyl_group(3))

@@ -76,10 +76,11 @@ is a `functools.lru_cache` bounded by its own constant, `_SLOT_MEMO_SIZE`
 and `_MODEL_MEMO_SIZE`, and importing the package fills neither.
 
 Weyl orbits are found on slot masks too.  A signed permutation permutes the
-slots of a graph's palette, so each Coxeter generator of W(BC_n) is one
-slot map, read off `weyl_act_graph` one edge at a time.  `orbit_canonical`
-closes the graph's mask under the n generator maps and serialises only the
-distinct images, keeping the least.
+slots of a graph's palette, so each Coxeter generator of W(BC_n) is read
+off `weyl_act_graph` one edge at a time and kept as a few masked shifts,
+one selection mask per distance its slots move.  `orbit_canonical` closes
+the graph's mask under the n generators and serialises only the distinct
+images, keeping the least; counting the orbits needs no closure.
 """
 
 from __future__ import annotations
@@ -114,7 +115,7 @@ from .rootsys import SignedPermutation
 
 
 class InconsistencyError(RuntimeError):
-    """A component of a (quasi-)crystallograph matched no model.
+    """A component matched no model, or a slot or line table broke its invariant.
 
     This cannot happen if the classification theorems hold; reaching it from
     a graph that passes the predicates is a falsification signal, not a
@@ -232,38 +233,6 @@ def slot_mask(g: ColouredGraph) -> int:
     for e in g.edges:
         mask |= _slot_bit(n, e)
     return mask
-
-
-_CHUNK_BITS = 10
-_CHUNK_CUT = (1 << _CHUNK_BITS) - 1
-
-
-def _mask_map_tables(image: list[int]) -> list[list[int]]:
-    """Per-chunk OR tables for the map mask -> OR of image[b] over set bits b.
-
-    They serve the Weyl generator slot maps of `_generator_tables`, which
-    close orbits with a few lookups per image.  Chunking by 10 bits keeps
-    the tables small at every n (they would grow as 2^(bits/2) with
-    half-width chunks, unusable beyond n = 5).
-    """
-    nbits = len(image)
-    tables = []
-    for offset in range(0, nbits, _CHUNK_BITS):
-        width = min(_CHUNK_BITS, nbits - offset)
-        table = [0] * (1 << width)
-        for h in range(1, 1 << width):
-            low = h & -h
-            table[h] = table[h ^ low] | image[offset + low.bit_length() - 1]
-        tables.append(table)
-    return tables
-
-
-def _mask_map_apply(tables: list[list[int]], mask: int) -> int:
-    out = 0
-    for table in tables:
-        out |= table[mask & _CHUNK_CUT]
-        mask >>= _CHUNK_BITS
-    return out
 
 
 def closed(mask: int, rules: HornRules) -> bool:
@@ -646,14 +615,37 @@ def _classical_component_menu(m: int) -> list[tuple[str, ColouredGraph]]:
     return [(tag, ColouredGraph(m, model_edges(Component(nodes, tag)))) for tag in tags]
 
 
+def _slot_moves(images: list[int]) -> tuple[tuple[int, int], ...]:
+    """The permutation sending slot b to the one bit images[b], as (shift,
+    selection) pairs in increasing shift: the slots of `selection` all move
+    `shift` places.  InconsistencyError unless the images permute the slots.
+    """
+    if sorted(images) != [1 << b for b in range(len(images))]:
+        raise InconsistencyError(f"slot images {images} are not a permutation of the slots")
+    moves: dict[int, int] = {}
+    for b, image in enumerate(images):
+        shift = image.bit_length() - 1 - b
+        moves[shift] = moves.get(shift, 0) | 1 << b
+    return tuple(sorted(moves.items()))
+
+
+def _moved(moves: tuple[tuple[int, int], ...], mask: int) -> int:
+    """The image of a slot mask under a permutation given by `_slot_moves`."""
+    out = 0
+    for shift, selection in moves:
+        out |= (mask & selection) << shift if shift >= 0 else (mask & selection) >> -shift
+    return out
+
+
 @cache
-def _generator_tables(n: int, palette: str) -> tuple[list[list[int]], ...]:
-    """Slot maps of the n Coxeter generators of W(BC_n): the adjacent
-    transpositions (k k+1) and the sign flip of node 1.
+def _generator_tables(n: int, palette: str) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The n Coxeter generators of W(BC_n), the sign flip of node 1 and the
+    adjacent transpositions (k k+1), as `_slot_moves` of this palette's slots.
 
     Each slot's image is read off `weyl_act_graph` on its one-edge graph,
     never from reflections, so the orbit route stays independent of the
-    root route.
+    root route.  A generator moves only the edges at node 1 or at k and
+    k+1, whose slots move alike in runs: at most seven moves at every n.
     """
     generators = [SignedPermutation.sign_flip(n, 1)] if n else []
     for k in range(n - 1):
@@ -662,7 +654,7 @@ def _generator_tables(n: int, palette: str) -> tuple[list[list[int]], ...]:
         generators.append(SignedPermutation(tuple(perm), (1,) * n))
     nslots = len(all_edge_slots(n, palette))
     return tuple(
-        _mask_map_tables(
+        _slot_moves(
             [slot_mask(weyl_act_graph(w, graph_from_slot_mask(n, 1 << b, palette)))
              for b in range(nslots)]
         )
@@ -672,14 +664,14 @@ def _generator_tables(n: int, palette: str) -> tuple[list[list[int]], ...]:
 
 def _weyl_orbit_masks(n: int, palette: str, mask: int) -> set[int]:
     """The W(BC_n) orbit of a slot mask of a graph of this palette, closed
-    under the generator maps with a worklist."""
+    under the generator moves with a worklist."""
     generators = _generator_tables(n, palette)
     seen = {mask}
     todo = [mask]
     while todo:
         m = todo.pop()
-        for tables in generators:
-            image = _mask_map_apply(tables, m)
+        for moves in generators:
+            image = _moved(moves, m)
             if image not in seen:
                 seen.add(image)
                 todo.append(image)
@@ -701,28 +693,34 @@ def orbit_canonical(g: ColouredGraph) -> tuple[str, ColouredGraph]:
     return min(((graph_to_json(h), h) for h in images), key=lambda pair: pair[0])
 
 
-def _weyl_orbit_representatives(n: int) -> list[ColouredGraph]:
-    """One representative per Weyl orbit of crystallographs on n nodes.
+def _classical_unions(n: int):
+    """Yield one disjoint union of classical connected models per multiset
+    of (size, tag) whose sizes sum to n, its components in (size, tag) order.
 
-    Orbits are indexed by multisets of classical component types: bipartite
+    These index the Weyl orbits of crystallographs on n nodes: bipartite
     components normalise to type A and signed permutations preserve the
     per-component root counts and length multisets, so distinct multisets
     are inequivalent.
     """
-    results: list[tuple[str, ColouredGraph]] = []
 
-    def build(sizes_left: int, min_key: tuple, assembled: ColouredGraph) -> None:
+    def build(sizes_left: int, min_key: tuple, assembled: ColouredGraph):
         if sizes_left == 0:
-            results.append(orbit_canonical(assembled))
+            yield assembled
             return
         for m in range(1, sizes_left + 1):
             for key, model in _classical_component_menu(m):
                 if (m, key) < min_key:
                     continue
-                build(sizes_left - m, (m, key), disjoint_union(assembled, model))
+                yield from build(sizes_left - m, (m, key), disjoint_union(assembled, model))
 
-    build(n, (0, ""), empty_graph(0))
-    results.sort(key=lambda pair: pair[0])
+    return build(n, (0, ""), empty_graph(0))
+
+
+def _weyl_orbit_representatives(n: int) -> list[ColouredGraph]:
+    """One representative per Weyl orbit of crystallographs on n nodes: the
+    `orbit_canonical` graph of each of `_classical_unions(n)`, in order of
+    its serialisation."""
+    results = sorted((orbit_canonical(g) for g in _classical_unions(n)), key=lambda pair: pair[0])
     return [g for _, g in results]
 
 
@@ -771,8 +769,9 @@ def enumerate_crystallographs(n: int, mode: str = "all"):
 def count_enumerated(n: int, mode: str = "all") -> int:
     """How many graphs `enumerate_crystallographs(n, mode)` yields, under the
     same limits; modes "all" and "quasi" count the closed masks without
-    decoding them."""
+    decoding them, and "up_to_weyl" the built orbit representatives without
+    canonicalising them."""
     rules = _enumeration_rules(n, mode)
     if rules is None:
-        return len(_weyl_orbit_representatives(n))
+        return sum(1 for _ in _classical_unions(n))
     return sum(1 for _ in closed_masks(rules))

@@ -207,9 +207,8 @@ def projectify(g: ColouredGraph) -> ColouredGraph:
     """Fuse the red/green loops at each node into a single blue loop."""
     if g.palette != BICHROMATIC:
         raise ValueError("projectify needs a bichromatic graph")
-    edges = {e for e in g.edges if not e.is_loop}
-    edges |= {loop(e.ends[0], BLUE) for e in g.edges if e.is_loop}
-    return ColouredGraph(g.n, frozenset(edges), TRICHROMATIC)
+    edges = frozenset(loop(e.ends[0], BLUE) if e.is_loop else e for e in g.edges)
+    return ColouredGraph(g.n, edges, TRICHROMATIC)
 
 
 def lift(g: ColouredGraph) -> ColouredGraph:
@@ -217,10 +216,11 @@ def lift(g: ColouredGraph) -> ColouredGraph:
     projectifies back, and is quasi if g projectifies a quasi-crystallograph."""
     if g.palette != TRICHROMATIC:
         raise ValueError("lift needs a trichromatic graph")
-    stray = next((e for e in g.edges if e.is_loop and e.colour != BLUE), None)
-    if stray is not None:
-        raise ValueError(f"lift needs all loops blue, got {stray}")
-    edges = {e if not e.is_loop else loop(e.ends[0], GREEN) for e in g.edges}
+    edges = []
+    for e in g.edges:
+        if e.is_loop and e.colour != BLUE:
+            raise ValueError(f"lift needs all loops blue, got {e}")
+        edges.append(loop(e.ends[0], GREEN) if e.colour == BLUE else e)
     return ColouredGraph(g.n, frozenset(edges), BICHROMATIC)
 
 

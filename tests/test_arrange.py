@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from brute_force import all_graphs
 
 from crystallograph import classical, oracle
 from crystallograph.arrange import (
@@ -19,6 +20,7 @@ from crystallograph.crystal import (
     is_quasi_crystallograph,
 )
 from crystallograph.graphs import (
+    BICHROMATIC,
     BLUE,
     GREEN,
     RED,
@@ -65,6 +67,24 @@ def test_lift_examples():
         lift(graph(1, [loop(1, GREEN)], TRICHROMATIC))
     with pytest.raises(ValueError):
         lift(empty_graph(1))
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_projectify_and_lift_match_their_edge_rules_on_every_graph(n):
+    # every loop becomes one blue loop; lift repaints blue loops green and
+    # names the first non-blue loop it meets
+    for g in all_graphs(n, BICHROMATIC):
+        fused = {loop(e.ends[0], BLUE) if e.is_loop else e for e in g.edges}
+        assert projectify(g) == ColouredGraph(n, fused, TRICHROMATIC)
+    for g in all_graphs(n, TRICHROMATIC):
+        stray = [e for e in g.edges if e.is_loop and e.colour != BLUE]
+        if stray:
+            with pytest.raises(ValueError) as info:
+                lift(g)
+            assert str(info.value) == f"lift needs all loops blue, got {stray[0]}"
+        else:
+            repainted = {loop(e.ends[0], GREEN) if e.is_loop else e for e in g.edges}
+            assert lift(g) == ColouredGraph(n, repainted)
 
 
 def test_projectify_lift_inverse_laws():

@@ -84,8 +84,14 @@ def test_enumerate_counts(capsys):
     assert code == 0 and out.strip() == "15"
 
 
-@pytest.mark.parametrize("mode", [[], ["--quasi"]], ids=["all", "quasi"])
-@pytest.mark.parametrize("n", range(5))
+@pytest.mark.parametrize(
+    "n, mode",
+    [
+        pytest.param(n, mode, id=f"{n}-{name}")
+        for name, mode, limit in (("all", [], 4), ("quasi", ["--quasi"], 4), ("up_to_weyl", ["--up-to-weyl"], 5))
+        for n in range(limit + 1)
+    ],
+)
 def test_enumerate_count_only_counts_the_listed_lines(capsys, n, mode):
     code, out, _ = run(capsys, "enumerate", "--nodes", str(n), *mode)
     assert code == 0

@@ -646,6 +646,17 @@ def test_enumerate_up_to_weyl_n5():
     assert len({orbit_canonical(g)[0] for g in reps}) == 316
 
 
+def test_counting_the_orbits_canonicalises_nothing(monkeypatch):
+    # distinct component multisets are distinct orbits, so the count is the
+    # number of built unions, with no closure over any orbit
+    def closure(g):
+        raise AssertionError("count_enumerated canonicalised a representative")
+
+    monkeypatch.setattr(crystal, "orbit_canonical", closure)
+    counts = [crystal.count_enumerated(n, "up_to_weyl") for n in range(6)]
+    assert counts == [oracle.count_weyl_orbits(n) for n in range(6)] == [1, 4, 15, 45, 125, 316]
+
+
 # ---------------------------------------------------------------------------
 # the graph-level memos
 

@@ -20,6 +20,7 @@ def forbid_work(monkeypatch):
         (crystal, "closure_rules"),
         (crystal, "closed_masks"),
         (crystal, "_weyl_orbit_representatives"),
+        (crystal, "_classical_unions"),
         (oracle, "line_tables"),
         (oracle, "closure_rules"),
         (oracle, "closed_masks"),
@@ -45,6 +46,8 @@ CASES = {
                         "n=5 exceeds the enumeration limit 4"),
     "up-to-weyl": (lambda: next(crystal.enumerate_crystallographs(6, "up_to_weyl")),
                    "n=6 exceeds the up_to_weyl limit 5"),
+    "count-up-to-weyl": (lambda: crystal.count_enumerated(6, "up_to_weyl"),
+                         "n=6 exceeds the up_to_weyl limit 5"),
     "pairs": (lambda: next(oracle.nested_pairs_exhaustive(4)),
               "n=4 exceeds the exhaustive pair limit 3"),
     "verify": (lambda: oracle.verify_all(7), "n=7 exceeds the verification limit 6"),

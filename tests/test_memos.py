@@ -20,6 +20,8 @@ from crystallograph.quotient import KernelBasis
 
 # every memo that serves one value per edge or per component
 VALUE_MEMOS = ("crystal.model_edges", "crystal._slot_bit", "graphs._root_pair")
+# every table built once per node count
+PER_N_TABLES = ("crystal.closure_rules", "crystal.all_edge_slots", "crystal._generator_tables", "oracle.line_tables")
 
 
 def test_model_edges_shares_one_frozenset_per_component():
@@ -62,16 +64,18 @@ def test_slot_masks_and_roots_match_the_references_on_every_graph(n, palette):
 
 
 def test_importing_the_cli_fills_no_value_memo():
+    # nor builds a per-n table, which would move work into every CLI call's start
+    memos = VALUE_MEMOS + PER_N_TABLES
     probe = "\n".join(
         [
             "import crystallograph.cli",
-            "from crystallograph import crystal, graphs",
-            f"print(*(memo.cache_info().currsize for memo in ({', '.join(VALUE_MEMOS)})))",
+            "from crystallograph import crystal, graphs, oracle",
+            f"print(*(memo.cache_info().currsize for memo in ({', '.join(memos)})))",
         ]
     )
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["0"] * len(VALUE_MEMOS)
+    assert result.stdout.split() == ["0"] * len(memos)
 
 
 # ---------------------------------------------------------------------------

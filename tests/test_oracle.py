@@ -8,17 +8,19 @@ from fractions import Fraction
 
 import pytest
 
-from crystallograph import classical, oracle
+from crystallograph import classical, crystal, oracle
 from crystallograph.linalg import nullspace_basis
 from crystallograph.arrange import verify_projectification_compatibility
 from crystallograph.quotient import KernelBasis, kernel_basis, quotient_graph
 from crystallograph.crystal import (
     InconsistencyError,
     _generator_tables,
-    _mask_map_apply,
+    _moved,
+    _slot_moves,
     all_edge_slots,
     classify_components,
     enumerate_crystallographs,
+    graph_from_slot_mask,
     is_crystallograph,
     orbit_canonical,
     slot_mask,
@@ -26,6 +28,7 @@ from crystallograph.crystal import (
 from crystallograph.graphs import (
     BICHROMATIC,
     RED,
+    TRICHROMATIC,
     ColouredGraph,
     graph,
     graph_from_roots,
@@ -394,6 +397,17 @@ def test_weyl_commutation():
     assert weyl_commutation_failures(4, 2000, seed=5) == []
 
 
+def _coxeter_generators(n):
+    """The generators of W(BC_n) in `_generator_tables` order: the sign flip
+    of node 1, then the adjacent transpositions."""
+    generators = [SignedPermutation.sign_flip(n, 1)]
+    for k in range(n - 1):
+        perm = list(range(n))
+        perm[k], perm[k + 1] = k + 1, k
+        generators.append(SignedPermutation(tuple(perm), (1,) * n))
+    return generators
+
+
 def test_weyl_generators_move_slots_as_they_move_lines():
     # the orbit route's generator slot maps, read off the graph action, equal
     # the root action on the lines, so every product of them, that is every
@@ -401,16 +415,69 @@ def test_weyl_generators_move_slots_as_they_move_lines():
     for n in range(1, 8):
         tables = line_tables(n)
         index = {rep: i for i, rep in enumerate(tables.reps)}
-        generators = [SignedPermutation.sign_flip(n, 1)]
-        for k in range(n - 1):
-            perm = list(range(n))
-            perm[k], perm[k + 1] = k + 1, k
-            generators.append(SignedPermutation(tuple(perm), (1,) * n))
+        generators = _coxeter_generators(n)
         slot_maps = _generator_tables(n, BICHROMATIC)
         assert len(slot_maps) == len(generators) == n
         for w, slot_map in zip(generators, slot_maps):
             lines = [1 << index[oracle._canon_line(w.apply(rep))] for rep in tables.reps]
-            assert [_mask_map_apply(slot_map, 1 << b) for b in range(tables.count)] == lines, (n, w)
+            assert [_moved(slot_map, 1 << b) for b in range(tables.count)] == lines, (n, w)
+
+
+@pytest.mark.parametrize("palette", [BICHROMATIC, TRICHROMATIC])
+def test_generator_moves_send_a_mask_to_the_or_of_its_slot_images(palette):
+    rng = random.Random(2929)
+    for n in range(1, 8):
+        nslots = len(all_edge_slots(n, palette))
+        generators = _coxeter_generators(n)
+        assert len(_generator_tables(n, palette)) == len(generators)
+        for w, moves in zip(generators, _generator_tables(n, palette)):
+            images = [
+                slot_mask(weyl_act_graph(w, graph_from_slot_mask(n, 1 << b, palette)))
+                for b in range(nslots)
+            ]
+            masks = [0, (1 << nslots) - 1] + [rng.getrandbits(nslots) for _ in range(40)]
+            for mask in masks:
+                expected = 0
+                for b in range(nslots):
+                    if mask >> b & 1:
+                        expected |= images[b]
+                assert _moved(moves, mask) == expected, (n, w, mask)
+
+
+@pytest.mark.parametrize("palette", [BICHROMATIC, TRICHROMATIC])
+def test_each_generator_makes_at_most_seven_moves(palette):
+    # a generator moves the edges at node 1 or at k and k+1 only, in runs
+    # whose slots all move alike
+    for n in range(1, 9):
+        counts = [len(moves) for moves in _generator_tables(n, palette)]
+        assert len(counts) == n and max(counts) <= 7, (n, counts)
+
+
+@pytest.mark.parametrize(
+    "images",
+    [[0b01, 0b01], [0b10, 0], [0b11, 0b10], [0b01, 0b100], [-0b10, 0b01], [0b01, 0b10, 0b10]],
+    ids=["repeat", "empty", "two-bits", "beyond", "negative", "missed"],
+)
+def test_slot_moves_refuse_images_that_do_not_permute_the_slots(images):
+    with pytest.raises(InconsistencyError, match="not a permutation of the slots"):
+        _slot_moves(images)
+
+
+def test_slot_moves_group_the_slots_by_shift():
+    assert _slot_moves([]) == ()
+    assert _slot_moves([0b001, 0b100, 0b010]) == ((-1, 0b100), (0, 0b001), (1, 0b010))
+    assert _moved(_slot_moves([0b001, 0b100, 0b010]), 0b110) == 0b110
+    assert _moved(_slot_moves([0b010, 0b100, 0b001]), 0b011) == 0b110
+
+
+def test_generator_tables_refuse_an_action_that_loses_edges(monkeypatch):
+    monkeypatch.setattr(crystal, "weyl_act_graph", lambda w, g: ColouredGraph(g.n, frozenset(), g.palette))
+    crystal._generator_tables.cache_clear()
+    try:
+        with pytest.raises(InconsistencyError, match="not a permutation of the slots"):
+            crystal._generator_tables(3, BICHROMATIC)
+    finally:
+        crystal._generator_tables.cache_clear()
 
 
 def test_weyl_commutation_compares_the_seeded_draws(monkeypatch):

@@ -86,8 +86,8 @@ images, keeping the least; counting the orbits needs no closure.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, replace
 from functools import cache, lru_cache
 from itertools import combinations
 
@@ -371,8 +371,7 @@ def is_projective_crystallograph(g: ColouredGraph) -> bool:
 # component classification
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(namedtuple("Component", "nodes type detail", defaults=((),))):
     """One connected component with its model tag.
 
     `detail` records the designated node subsets a model needs beyond its
@@ -380,9 +379,7 @@ class Component:
     for the exotic tags.
     """
 
-    nodes: tuple[int, ...]
-    type: str
-    detail: tuple[tuple[int, ...], ...] = ()
+    __slots__ = ()
 
     @property
     def params(self) -> tuple[int, ...]:
@@ -392,9 +389,8 @@ class Component:
         return sizes + (rest,) if rest else sizes
 
 
-@dataclass(frozen=True)
-class ComponentReport:
-    components: tuple[Component, ...]
+class ComponentReport(namedtuple("ComponentReport", "components")):
+    __slots__ = ()
 
     def tags(self) -> list[str]:
         return [c.type for c in self.components]
@@ -539,7 +535,7 @@ def classify_projective_components(g: ColouredGraph) -> ComponentReport:
     those of `lift(g)`, with C named BorC and CplusD named ExoticBD."""
     comps = classify_components(lift(g)).components
     return ComponentReport(
-        tuple(replace(c, type=_PROJECTIVE_TAG.get(c.type, c.type)) for c in comps)
+        tuple(c._replace(type=_PROJECTIVE_TAG.get(c.type, c.type)) for c in comps)
     )
 
 
@@ -702,13 +698,14 @@ def _classical_unions(n: int):
     per-component root counts and length multisets, so distinct multisets
     are inequivalent.
     """
+    menus = {m: _classical_component_menu(m) for m in range(1, n + 1)}
 
     def build(sizes_left: int, min_key: tuple, assembled: ColouredGraph):
         if sizes_left == 0:
             yield assembled
             return
         for m in range(1, sizes_left + 1):
-            for key, model in _classical_component_menu(m):
+            for key, model in menus[m]:
                 if (m, key) < min_key:
                     continue
                 yield from build(sizes_left - m, (m, key), disjoint_union(assembled, model))

@@ -27,6 +27,19 @@ Graphs are immutable values; equality is literal (same node count, same edge
 set).  The constructor freezes whatever edge iterable it is given, so every
 graph hashes and can key a cache.  The canonical JSON form and the DOT
 export are byte-deterministic.
+
+The package's small value types (`Hyperplane` here, `SignedPermutation`,
+`Component`, `ComponentReport`, `KernelBasis`, `RestrictedSystem` and
+`EnumerationSummary`) are `namedtuple` subclasses with no instance dict,
+like Edge: each equals, hashes and orders like its field tuple, and a type
+with checks makes them in `__new__`.  `_make` and `_replace` skip `__new__`,
+so they skip those checks too; only `Component._replace` is called, and
+Component has none.  `ColouredGraph` is a slotted class rather than a tuple,
+so that a graph never equals a plain tuple, `perfbench` can trace its
+`__init__`, and a graph can be weakly referenced.  All are written out by
+hand, not generated by a class decorator, because the standard library's
+one imports `inspect` and `ast` and builds its methods with `exec`: some
+milliseconds of start-up in every CLI process.
 """
 
 from __future__ import annotations
@@ -34,7 +47,6 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
@@ -98,34 +110,63 @@ def edge_sort_key(e: Edge) -> tuple:
     return (kind, e.ends[0], e.ends[-1], e.colour)
 
 
-@dataclass(frozen=True)
 class ColouredGraph:
-    n: int
-    edges: frozenset[Edge]
-    palette: str = BICHROMATIC
+    """A coloured graph on nodes 1..n: an immutable value, compared and hashed
+    by (n, edges, palette) and equal only to another ColouredGraph."""
 
-    def __post_init__(self) -> None:
-        if type(self.edges) is not frozenset:
+    __slots__ = ("n", "edges", "palette", "__weakref__")
+
+    def __init__(self, n: int, edges: Iterable[Edge], palette: str = BICHROMATIC) -> None:
+        if type(edges) is not frozenset:
             # a graph is a value: it keeps no caller's mutable container, so
             # it hashes, compares equal to its frozen twin and never changes
-            object.__setattr__(self, "edges", frozenset(self.edges))
-        if self.n < 0:
+            edges = frozenset(edges)
+        if n < 0:
             raise ValueError("node count must be >= 0")
-        if self.palette not in (BICHROMATIC, TRICHROMATIC):
-            raise ValueError(f"unknown palette: {self.palette!r}")
-        n = self.n
-        for e in self.edges:
+        if palette not in (BICHROMATIC, TRICHROMATIC):
+            raise ValueError(f"unknown palette: {palette!r}")
+        for e in edges:
             # the ends are sorted, so the first and last bound them all
             if not (e.ends[0] >= 1 and e.ends[-1] <= n):
                 raise ValueError(f"edge {e} out of node range 1..{n}")
-            if e.colour == BLUE and (self.palette == BICHROMATIC or not e.is_loop):
+            if e.colour == BLUE and (palette == BICHROMATIC or not e.is_loop):
                 raise ValueError(f"blue is only legal on trichromatic loops: {e}")
+        _set_n(self, n)
+        _set_edges(self, edges)
+        _set_palette(self, palette)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not ColouredGraph:
+            return NotImplemented
+        return (self.n, self.edges, self.palette) == (other.n, other.edges, other.palette)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edges, self.palette))
+
+    def __repr__(self) -> str:
+        return f"ColouredGraph(n={self.n!r}, edges={self.edges!r}, palette={self.palette!r})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which __setattr__ leaves open
+        return ColouredGraph, (self.n, self.edges, self.palette)
 
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges, key=edge_sort_key)
 
     def is_subgraph_of(self, other: ColouredGraph) -> bool:
         return self.n == other.n and self.palette == other.palette and self.edges <= other.edges
+
+
+# the slots' own setters, which `__init__` calls past the blocked __setattr__
+_set_n = ColouredGraph.n.__set__
+_set_edges = ColouredGraph.edges.__set__
+_set_palette = ColouredGraph.palette.__set__
 
 
 def empty_graph(n: int, palette: str = BICHROMATIC) -> ColouredGraph:
@@ -224,8 +265,7 @@ def lift(g: ColouredGraph) -> ColouredGraph:
     return ColouredGraph(g.n, frozenset(edges), BICHROMATIC)
 
 
-@dataclass(frozen=True, order=True)
-class Hyperplane:
+class Hyperplane(namedtuple("Hyperplane", "normal")):
     """A hyperplane Ker(normal), stored by its canonical normal.
 
     The constructor makes the normal primitive with first nonzero entry
@@ -233,16 +273,16 @@ class Hyperplane:
     not move a kernel), and equal hyperplanes are equal values.
     """
 
-    normal: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        v = tuple(self.normal)
+    def __new__(cls, normal: Iterable[int]) -> Hyperplane:
+        v = tuple(normal)
         g = gcd(*v)
         if g == 0:
             raise ValueError("the zero covector has no kernel hyperplane")
         if next(c for c in v if c != 0) < 0:
             g = -g
-        object.__setattr__(self, "normal", tuple(c // g for c in v))
+        return super().__new__(cls, tuple(c // g for c in v))
 
 
 def normal_lines(arrangement) -> frozenset[Root]:

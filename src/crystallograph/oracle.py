@@ -47,8 +47,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from collections import defaultdict
-from dataclasses import asdict, dataclass
+from collections import defaultdict, namedtuple
 from functools import cache
 from math import comb, factorial
 from operator import mul
@@ -315,14 +314,10 @@ def nested_pairs_exhaustive(n: int):
 # verification driver
 
 
-@dataclass(frozen=True)
-class EnumerationSummary:
-    n: int
-    total_graphs: int
-    crystallographs: int
-    quasi_crystallographs: int
-    orbits: int
-    runtime: float
+class EnumerationSummary(
+    namedtuple("EnumerationSummary", "n total_graphs crystallographs quasi_crystallographs orbits runtime")
+):
+    __slots__ = ()
 
 
 def bijection_sweep(n: int, samples: int | None = None, seed: int = RNG_DEFAULT_SEED):
@@ -685,6 +680,6 @@ def verify_all(
 
 
 def summary_to_json(summary: EnumerationSummary, failures: list[str]) -> str:
-    obj = asdict(summary)
+    obj = summary._asdict()
     obj["failures"] = failures
     return json.dumps(obj, separators=(",", ":"))

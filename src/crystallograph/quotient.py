@@ -15,21 +15,19 @@ projective quotient of `arrange` is `projectify` of it on the lifted pair.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .crystal import InconsistencyError, classify_components, is_crystallograph
 from .graphs import GREEN, RED, ColouredGraph, loop, roots_from_graph, straight
-from .linalg import RationalMatrix, RationalVector
+from .linalg import RationalMatrix
 from .rootsys import is_bc_root
 
 
-@dataclass(frozen=True)
-class KernelBasis:
+class KernelBasis(namedtuple("KernelBasis", "parts vectors")):
     """Red components and the kernel vectors e_{I_j}/|I_j| they index."""
 
-    parts: tuple[tuple[int, ...], ...]
-    vectors: tuple[RationalVector, ...]
+    __slots__ = ()
 
     def to_json_obj(self) -> dict:
         return {
@@ -41,19 +39,18 @@ class KernelBasis:
         return json.dumps(self.to_json_obj(), separators=(",", ":"))
 
 
-@dataclass(frozen=True)
-class RestrictedSystem:
+class RestrictedSystem(namedtuple("RestrictedSystem", "dimension covectors")):
     """Nonzero restrictions of the leftover roots, in red-component coordinates."""
 
-    dimension: int
-    covectors: frozenset[tuple[int, ...]]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for v in self.covectors:
-            if len(v) != self.dimension:
+    def __new__(cls, dimension: int, covectors: frozenset[tuple[int, ...]]) -> RestrictedSystem:
+        for v in covectors:
+            if len(v) != dimension:
                 raise ValueError(f"covector {v} has the wrong length")
             if not is_bc_root(v):
                 raise ValueError(f"restricted covector {v} is not a BC shape")
+        return super().__new__(cls, dimension, covectors)
 
     def to_json_obj(self) -> dict:
         return {"dimension": self.dimension, "covectors": [list(v) for v in sorted(self.covectors)]}

@@ -23,8 +23,8 @@ indexed 0-based internally as usual.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 
 Root = tuple[int, ...]
 RootSet = frozenset[Root]
@@ -121,8 +121,7 @@ def reflection_closure(phi: frozenset[Root] | set[Root]) -> RootSet:
     return frozenset(current)
 
 
-@dataclass(frozen=True)
-class SignedPermutation:
+class SignedPermutation(namedtuple("SignedPermutation", "perm signs")):
     """Element of the hyperoctahedral group W(BC_n).
 
     ``perm[i]`` is the 0-based image of coordinate i and ``signs[i]`` the
@@ -130,17 +129,16 @@ class SignedPermutation:
     e_{perm[i]}.
     """
 
-    perm: tuple[int, ...]
-    signs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        n = len(self.perm)
-        if sorted(self.perm) != list(range(n)):
-            raise ValueError(f"not a permutation of 0..{n - 1}: {self.perm}")
-        signs = self.signs
+    def __new__(cls, perm: tuple[int, ...], signs: tuple[int, ...]) -> SignedPermutation:
+        n = len(perm)
+        if sorted(perm) != list(range(n)):
+            raise ValueError(f"not a permutation of 0..{n - 1}: {perm}")
         # n entries, each equal to 1 or -1, exactly when the two counts sum to n
         if len(signs) != n or signs.count(1) + signs.count(-1) != n:
             raise ValueError(f"signs must be +-1 of length {n}: {signs}")
+        return super().__new__(cls, perm, signs)
 
     @property
     def n(self) -> int:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import replace
 from itertools import chain, combinations
 
 import pytest
@@ -418,7 +417,7 @@ def _projective_models_by_edges(nodes):
     models: dict[frozenset, list[Component]] = {}
     for edges, comps in _models_by_edges(nodes, _PROJECTIVE_TAGS).items():
         key = projectify(ColouredGraph(max(nodes), edges)).edges
-        models.setdefault(key, []).extend(replace(c, type=_PROJECTIVE_TAGS[c.type]) for c in comps)
+        models.setdefault(key, []).extend(c._replace(type=_PROJECTIVE_TAGS[c.type]) for c in comps)
     return models
 
 

@@ -12,6 +12,9 @@ exception into an exit status: every input failure is a `ValueError`
 `error:` line; an `InconsistencyError` means the classification theorem
 itself failed and prints `internal inconsistency:`; an unwritable stdout
 prints `error:`, except a closed pipe, which ends silently.  All exit 1.
+
+Commands import the modules they run at call time, so a call pays only for
+its own work.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import os
 import sys
 from functools import lru_cache
 
-from . import arrange, crystal, oracle, quotient
+from . import crystal
 from .crystal import InconsistencyError
 from .graphs import (
     BICHROMATIC,
@@ -131,6 +134,8 @@ def _cmd_from_roots(args) -> int:
 
 
 def _cmd_kernel(args) -> int:
+    from . import quotient
+
     g = _load_graph(args.graph, args.roots, args.nodes)
     if g.n > KERNEL_MAX_N:
         raise ValueError(f"kernel needs at most {KERNEL_MAX_N} nodes, got {g.n}")
@@ -141,6 +146,8 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_quotient(args) -> int:
+    from . import quotient
+
     g = _load_graph(args.graph)
     gp = _load_graph(args.subgraph)
     if args.normalize:
@@ -158,6 +165,8 @@ def _cmd_quotient(args) -> int:
 
 
 def _cmd_restrict(args) -> int:
+    from . import quotient
+
     g = _load_graph(args.graph)
     gp = _load_graph(args.subgraph)
     if args.normalize:
@@ -174,6 +183,8 @@ def _cmd_projectify(args) -> int:
 def _cmd_arrangement(args) -> int:
     g = _load_graph(args.graph)
     if args.subgraph is not None:
+        from . import arrange, quotient
+
         gp = _load_graph(args.subgraph)
         if g.palette == BICHROMATIC:
             projectified = projectify(quotient.quotient_graph(g, gp))
@@ -203,6 +214,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import oracle
+
     summary, failures = oracle.verify_all(args.nodes, samples=args.samples, seed=args.seed)
     print(
         f"n={summary.n}: {summary.crystallographs} crystallographs, "
@@ -295,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the full verification suites")
     p.add_argument("--nodes", type=int, required=True)
     p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=oracle.RNG_DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=crystal.RNG_DEFAULT_SEED)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("dot", help="emit Graphviz DOT")

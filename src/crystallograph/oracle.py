@@ -57,6 +57,7 @@ from .arrange import classify_restricted_arrangement, verify_projectification_co
 from .crystal import (
     CRYSTAL_PROPAGATING,
     QUASI_PROPAGATING,
+    RNG_DEFAULT_SEED,
     SCAN_LIMIT,
     Component,
     InconsistencyError,
@@ -99,8 +100,6 @@ from .rootsys import (
     weyl_apply,
     weyl_group,
 )
-
-RNG_DEFAULT_SEED = 20240801
 
 
 # ---------------------------------------------------------------------------

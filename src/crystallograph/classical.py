@@ -11,43 +11,38 @@ The classical bichromatic graphs on a node set S:
 plus the bipartite graphs (two red cliques joined by all-green edges), the
 two quasi-crystallograph families obtained by gluing green loops onto B or D,
 and the pairs-and-points subgraphs used to realise those families as
-quotients.  Each is drawn by `crystal.model_edges` on nodes 1..m, the same
-edge sets that the classification checks components against.  The two
-projective models are `graphs.projectify` of B and of C+D.
+quotients.  Each model is `crystal.model_graph`: the graph on nodes 1..m of
+the edge set `crystal.model_edges` draws, which the classification checks
+components against.  The two projective models are `graphs.projectify` of B
+and of C+D.
 """
 
 from __future__ import annotations
 
-from .crystal import Component, model_edges
+from .crystal import model_graph
 from .graphs import RED, ColouredGraph, projectify, straight
-
-
-def _model(m: int, tag: str, detail=()) -> ColouredGraph:
-    """The model graph of `tag` on nodes 1..m, as `crystal.model_edges` draws it."""
-    comp = Component(tuple(range(1, m + 1)), tag, detail)
-    return ColouredGraph(m, model_edges(comp))
 
 
 def graph_a(m: int) -> ColouredGraph:
     """Complete red graph on m nodes; encodes A_{m-1}."""
-    return _model(m, "A")
+    return model_graph(m, "A")
 
 
 def graph_d(m: int) -> ColouredGraph:
     """Simply-laced complete bichromatic graph on m nodes; encodes D_m."""
-    return _model(m, "D")
+    return model_graph(m, "D")
 
 
 def graph_b(m: int) -> ColouredGraph:
-    return _model(m, "B")
+    return model_graph(m, "B")
 
 
 def graph_c(m: int) -> ColouredGraph:
-    return _model(m, "C")
+    return model_graph(m, "C")
 
 
 def graph_bc(m: int) -> ColouredGraph:
-    return _model(m, "BC")
+    return model_graph(m, "BC")
 
 
 def graph_bipartite(d1: int, d2: int) -> ColouredGraph:
@@ -55,17 +50,17 @@ def graph_bipartite(d1: int, d2: int) -> ColouredGraph:
     if d1 < 1 or d2 < 1:
         raise ValueError("both parts of a bipartite graph must be nonempty")
     parts = (tuple(range(1, d1 + 1)), tuple(range(d1 + 1, d1 + d2 + 1)))
-    return _model(d1 + d2, "Bipartite", parts)
+    return model_graph(d1 + d2, "Bipartite", parts)
 
 
 def graph_b_plus_c(r: int, s: int) -> ColouredGraph:
     """Type-B graph on r+s nodes with green loops glued at the first r nodes."""
-    return _model(r + s, "BplusC", (tuple(range(1, r + 1)),))
+    return model_graph(r + s, "BplusC", (tuple(range(1, r + 1)),))
 
 
 def graph_c_plus_d(r: int, s: int) -> ColouredGraph:
     """Type-D graph on r+s nodes with green loops glued at the first r nodes."""
-    return _model(r + s, "CplusD", (tuple(range(1, r + 1)),))
+    return model_graph(r + s, "CplusD", (tuple(range(1, r + 1)),))
 
 
 def graph_pairs_and_points(r: int, s: int) -> ColouredGraph:

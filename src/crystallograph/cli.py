@@ -65,12 +65,10 @@ def _load_graph(path: str, roots_mode: bool = False, nodes: int | None = None) -
     try:
         if not roots_mode:
             g = graph_from_json(text)
-        elif phi := parse_roots_text(text):
-            g = graph_from_roots(phi, nodes)
-        elif nodes is None:
+        elif not (phi := parse_roots_text(text)) and nodes is None:
             raise ValueError("empty root file; pass --nodes to fix the dimension")
         else:
-            g = ColouredGraph(nodes, frozenset())
+            g = graph_from_roots(phi, nodes)
         if g.n > MAX_NODES:
             raise ValueError(f"a graph may have at most {MAX_NODES} nodes, got {g.n}")
     except ValueError as exc:

@@ -72,8 +72,10 @@ interned edge, which `slot_mask` ORs over a graph's edges, and
 drawn or rebuilt again is one shared frozenset (`graphs._root_pair` keeps
 each edge's +- roots for `roots_from_graph` the same way).  The sampled
 suites ask for the same few edges and components over and over; each memo
-is a `functools.lru_cache` bounded by its own constant, `_SLOT_MEMO_SIZE`
-and `_MODEL_MEMO_SIZE`, and importing the package fills neither.
+is a `functools.lru_cache` bounded by a named constant, `_MODEL_MEMO_SIZE`
+or `graphs._EDGE_MEMO_SIZE`, the one size of every per-edge memo, and
+importing the package fills neither.  `model_graph` is a model as a graph on
+nodes 1..m, drawn by `model_edges`.
 
 Weyl orbits are found on slot masks too.  A signed permutation permutes the
 slots of a graph's palette, so each Coxeter generator of W(BC_n) is read
@@ -97,6 +99,7 @@ from .graphs import (
     GREEN,
     RED,
     TRICHROMATIC,
+    _EDGE_MEMO_SIZE,
     ColouredGraph,
     Edge,
     connected_components,
@@ -209,12 +212,7 @@ def closure_rules(n: int, propagating: frozenset[str]) -> HornRules:
     )
 
 
-# Entries of the `_slot_bit` memo.  verify at n <= 6 asks for at most 133
-# distinct (n, edge) keys, n^2 + 2n per node count, so every one stays cached.
-_SLOT_MEMO_SIZE = 256
-
-
-@lru_cache(maxsize=_SLOT_MEMO_SIZE)
+@lru_cache(maxsize=_EDGE_MEMO_SIZE)
 def _slot_bit(n: int, e: Edge) -> int:
     """The bit of edge e's slot on n nodes, as `_slot` computes it."""
     return 1 << _slot(n, e.ends, e.colour)
@@ -460,6 +458,11 @@ def model_edges(comp: Component) -> frozenset[Edge]:
     return frozenset(edges)
 
 
+def model_graph(m: int, tag: str, detail=()) -> ColouredGraph:
+    """The model graph of `tag` on nodes 1..m, as `model_edges` draws it."""
+    return ColouredGraph(m, model_edges(Component(tuple(range(1, m + 1)), tag, detail)))
+
+
 def _split_components(g: ColouredGraph) -> list[tuple[tuple[int, ...], list[Edge]]]:
     """The connected components by least node, each with its own edges."""
     parts = connected_components(g)
@@ -605,13 +608,6 @@ def graph_from_slot_mask(n: int, mask: int, palette: str = BICHROMATIC) -> Colou
     )
 
 
-def _classical_component_menu(m: int) -> list[tuple[str, ColouredGraph]]:
-    """Classical connected models on m nodes, in tag order."""
-    nodes = tuple(range(1, m + 1))
-    tags = ("A", "B", "BC", "C", "D") if m >= 2 else ("A", "B", "BC", "C")
-    return [(tag, ColouredGraph(m, model_edges(Component(nodes, tag)))) for tag in tags]
-
-
 def _slot_moves(images: list[int]) -> tuple[tuple[int, int], ...]:
     """The permutation sending slot b to the one bit images[b], as (shift,
     selection) pairs in increasing shift: the slots of `selection` all move
@@ -699,7 +695,11 @@ def _classical_unions(n: int):
     per-component root counts and length multisets, so distinct multisets
     are inequivalent.
     """
-    menus = {m: _classical_component_menu(m) for m in range(1, n + 1)}
+    # the classical connected models on m nodes, in tag order; D needs a pair
+    menus = {
+        m: [(tag, model_graph(m, tag)) for tag in ("A", "B", "BC", "C", "D") if m >= 2 or tag != "D"]
+        for m in range(1, n + 1)
+    }
 
     def build(sizes_left: int, min_key: tuple, assembled: ColouredGraph):
         if sizes_left == 0:

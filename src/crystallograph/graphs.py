@@ -16,12 +16,21 @@ hyperplane arrangement made of the kernels of the roots of lift(g), read
 through the table above and no second one.  Green makes `lift` undo
 `projectify` on quasi-crystallographs: lift(projectify(q)) is quasi when q is.
 
+The table above is read in two directions.  `_root_pair` reads it
+forward, an edge to its pair +-alpha, and `graph_from_roots` reads it
+backward, one pass per root: the root's support names its edge and its
+coefficients must be the ones the table gives that edge.  Each edge names
+exactly two roots, so a set of such roots is symmetric exactly when it has
+twice as many roots as edges.
+
 An Edge is the tuple (ends, colour), validated on construction, so it
 equals, hashes and orders like that plain tuple.  Edges are built only by
 `straight` and `loop`, from a bounded memo, so each distinct (ends, colour)
 is one shared object however many graphs hold it.  `roots_from_graph`
 reads each edge's pair +-alpha from another bounded memo, keyed by
 (n, edge), so the roots of the same few edges are not built again and again.
+One constant, `_EDGE_MEMO_SIZE`, sizes every memo keyed by an edge, these
+three and `crystal._slot_bit`.
 
 Graphs are immutable values; equality is literal (same node count, same edge
 set).  The constructor freezes whatever edge iterable it is given, so every
@@ -50,7 +59,7 @@ from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from math import gcd
 
-from .rootsys import Root, RootSet, SignedPermutation, is_bc_root, is_symmetric
+from .rootsys import Root, RootSet, SignedPermutation
 
 RED = "R"
 GREEN = "G"
@@ -86,11 +95,12 @@ class Edge(namedtuple("Edge", "ends colour")):
         return len(self.ends) == 1
 
 
-# Entries per memo of `straight` and `loop`.  verify at n <= 6 builds at most
-# 78 distinct edges: 60 straight (15 pairs, both argument orders, two colours)
-# and 18 loops (6 nodes, three colours), so every one stays cached; a larger
+# Entries per memo keyed by an edge or by (n, edge): `straight`, `loop`,
+# `_root_pair` and `crystal._slot_bit`.  verify at n <= 6 asks each for at
+# most 133 keys: n^2 + 2n (n, edge) keys per node count, 60 straight edges
+# (both argument orders) and 18 loops.  So every one stays cached; a larger
 # graph only evicts.  Exceptions are never cached, so bad input raises anew.
-_EDGE_MEMO_SIZE = 128
+_EDGE_MEMO_SIZE = 256
 
 
 @lru_cache(maxsize=_EDGE_MEMO_SIZE)
@@ -181,12 +191,7 @@ graph = ColouredGraph
 # main correspondence: bichromatic graphs <-> symmetric subsets of BC_n
 
 
-# Entries of the `_root_pair` memo: as many (n, edge) keys as the slot bits
-# of `crystal.slot_mask`, at most 112 bichromatic ones for verify at n <= 6.
-_ROOT_MEMO_SIZE = 256
-
-
-@lru_cache(maxsize=_ROOT_MEMO_SIZE)
+@lru_cache(maxsize=_EDGE_MEMO_SIZE)
 def _root_pair(n: int, e: Edge) -> tuple[Root, Root]:
     """The roots +-alpha in Q^n of a red or green edge, by the table above."""
     ends, colour = e
@@ -225,17 +230,19 @@ def graph_from_roots(phi, n: int | None = None) -> ColouredGraph:
     for alpha in phi:
         if len(alpha) != n:
             raise ValueError(f"root {alpha} does not live in Q^{n}")
-        if not is_bc_root(alpha):
-            raise ValueError(f"not a BC root: {alpha}")
-        support = [(i + 1, c) for i, c in enumerate(alpha) if c != 0]
-        if len(support) == 1:
+        support = [(i, c) for i, c in enumerate(alpha, start=1) if c != 0]
+        if len(support) == 1 and support[0][1] in (-2, -1, 1, 2):
             k, c = support[0]
             edges.add(loop(k, RED if abs(c) == 1 else GREEN))
-        else:
+        elif len(support) == 2 and support[0][1] in (-1, 1) and support[1][1] in (-1, 1):
             (i, ci), (j, cj) = support
-            edges.add(straight(i, j, RED if ci * cj < 0 else GREEN))
-    # after the shape checks, so a lone malformed root is named as such
-    if not is_symmetric(phi):
+            edges.add(straight(i, j, RED if ci != cj else GREEN))
+        else:
+            raise ValueError(f"not a BC root: {alpha}")
+    # each edge names two roots, so phi holds both of every pair iff it has
+    # twice as many roots as edges; after the shape checks, so a lone
+    # malformed root is named as such
+    if len(phi) != 2 * len(edges):
         raise ValueError("graph_from_roots needs a symmetric root set")
     return ColouredGraph(n, frozenset(edges))
 

@@ -156,10 +156,13 @@ def test_from_roots_names_a_malformed_root(capsys, tmp_path):
 
     empty = tmp_path / "empty.txt"
     empty.write_text("")
-    code, _, err = run(capsys, "from-roots", str(empty))
-    assert code == 1 and "--nodes" in err
+    code, out, err = run(capsys, "from-roots", str(empty))
+    assert (code, out) == (1, "")
+    assert err == f"error: {empty}: empty root file; pass --nodes to fix the dimension\n"
     code, out, _ = run(capsys, "from-roots", str(empty), "--nodes", "2")
-    assert code == 0 and graph_from_json(out.strip()) == graph(2, [])
+    assert (code, out) == (0, '{"palette":"bi","nodes":2,"edges":[]}\n')
+    code, out, err = run(capsys, "from-roots", str(empty), "--nodes", "-1")
+    assert (code, out, err) == (1, "", f"error: {empty}: node count must be >= 0\n")
 
 
 def test_kernel_output(capsys, tmp_path, a1_file):

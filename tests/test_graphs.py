@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 
@@ -169,12 +170,37 @@ def test_classical_models_match_root_systems():
 def test_graph_from_roots_rejects_bad_input():
     with pytest.raises(ValueError, match="symmetric"):
         graph_from_roots({(1, -1)}, 2)  # not symmetric
+    with pytest.raises(ValueError, match="^graph_from_roots needs a symmetric root set$"):
+        graph_from_roots({(2, 0), (-1, 0)}, 2)  # two valid roots of two edges, one root each
+    for alpha in [(1, 2, 3), (0,), (1, 0, 0)]:
+        # the length is checked before the shape
+        with pytest.raises(ValueError, match=rf"^root {re.escape(str(alpha))} does not live in Q\^2$"):
+            graph_from_roots({alpha}, 2)
     with pytest.raises(ValueError, match=r"not a BC root: \(1, 2, 3\)"):
         graph_from_roots({(1, 2, 3)}, 3)  # shape is checked before symmetry
     with pytest.raises(ValueError):
         graph_from_roots({(1, 1, 1), (-1, -1, -1)}, 3)  # not a BC root
     with pytest.raises(ValueError):
         graph_from_roots(frozenset())  # no dimension to infer
+
+
+def test_graph_from_roots_rejects_every_set_missing_one_root():
+    for n in (1, 2, 3):
+        for g in all_bichromatic_graphs(n):
+            phi = roots_from_graph(g)
+            for alpha in phi:
+                with pytest.raises(ValueError, match="^graph_from_roots needs a symmetric root set$"):
+                    graph_from_roots(phi - {alpha}, n)
+
+
+@pytest.mark.parametrize("alpha", [(0, 0), (3, 0), (1, 2), (2, 2), (1, 1, 1)])
+def test_graph_from_roots_names_a_root_outside_the_table(alpha):
+    negated = tuple(-c for c in alpha)
+    for phi in ({alpha}, {alpha, negated}):
+        with pytest.raises(ValueError) as caught:
+            graph_from_roots(phi, len(alpha))
+        # the error names whichever of the two it reads first
+        assert str(caught.value) in {f"not a BC root: {alpha}", f"not a BC root: {negated}"}
 
 
 def test_roundtrip_exhaustive_n_le_3():

@@ -1,8 +1,9 @@
 """The graph route never borrows from the root route it is checked against.
 
 `graphs` and `crystal` state the paper's local rules directly.  If they took
-reflections, closures or the Weyl search from `rootsys`, or anything from
-`oracle`, the oracle suites would compare a computation with itself.  In the
+reflections, closures, the root shape and symmetry predicates or the Weyl
+search from `rootsys`, or anything from `oracle`, the oracle suites would
+compare a computation with itself.  In the
 other direction, the oracle's `LineTables` takes from the graph route only
 the numbering of its lines by edge slot, never a closure rule, predicate or
 the graph Weyl action.
@@ -17,6 +18,8 @@ import crystallograph
 
 GRAPH_ROUTE = ("graphs.py", "crystal.py")
 ROOT_ROUTE_ONLY = {
+    "is_bc_root",
+    "is_symmetric",
     "reflect",
     "reflection_closure",
     "reflection_permutation",
@@ -62,6 +65,7 @@ def test_the_check_sees_each_kind_of_borrowing():
     sources = [
         "from .rootsys import SignedPermutation, weyl_apply",
         "from crystallograph.rootsys import reflect",
+        "from .rootsys import Root, RootSet, is_bc_root, is_symmetric",
         "from . import oracle",
         "from .oracle import line_tables",
         "import crystallograph.oracle",

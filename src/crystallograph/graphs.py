@@ -29,8 +29,11 @@ equals, hashes and orders like that plain tuple.  Edges are built only by
 is one shared object however many graphs hold it.  `roots_from_graph`
 reads each edge's pair +-alpha from another bounded memo, keyed by
 (n, edge), so the roots of the same few edges are not built again and again.
-One constant, `_EDGE_MEMO_SIZE`, sizes every memo keyed by an edge, these
-three and `crystal._slot_bit`.
+`graph_to_json` reads each edge's canonical JSON text and sort key from a
+third memo, `_edge_json`, and joins the texts of its sorted edges inside
+the fixed graph frame, `_json_frame`; `crystal.orbit_canonical` builds the
+text of a slot mask from the same two.  One constant, `_EDGE_MEMO_SIZE`,
+sizes every memo keyed by an edge, these four and `crystal._slot_bit`.
 
 Graphs are immutable values; equality is literal (same node count, same edge
 set).  The constructor freezes whatever edge iterable it is given, so every
@@ -96,10 +99,12 @@ class Edge(namedtuple("Edge", "ends colour")):
 
 
 # Entries per memo keyed by an edge or by (n, edge): `straight`, `loop`,
-# `_root_pair` and `crystal._slot_bit`.  verify at n <= 6 asks each for at
-# most 133 keys: n^2 + 2n (n, edge) keys per node count, 60 straight edges
-# (both argument orders) and 18 loops.  So every one stays cached; a larger
-# graph only evicts.  Exceptions are never cached, so bad input raises anew.
+# `_root_pair`, `_edge_json` and `crystal._slot_bit`.  verify at n <= 6 asks
+# each for at most 133 keys: n^2 + 2n (n, edge) keys per node count, 60
+# straight edges (both argument orders) and 18 loops; `_edge_json` has 48,
+# the 30 straight edges and 18 loops of all three colours.  So every one
+# stays cached; a larger graph only evicts.  Exceptions are never cached,
+# so bad input raises anew.
 _EDGE_MEMO_SIZE = 256
 
 
@@ -179,6 +184,16 @@ _set_edges = ColouredGraph.edges.__set__
 _set_palette = ColouredGraph.palette.__set__
 
 
+def _trusted_graph(n: int, edges: frozenset[Edge], palette: str) -> ColouredGraph:
+    """The graph `ColouredGraph(n, edges, palette)` without its checks, for
+    callers whose edges come from the slot table of this n and palette."""
+    g = object.__new__(ColouredGraph)
+    _set_n(g, n)
+    _set_edges(g, edges)
+    _set_palette(g, palette)
+    return g
+
+
 def empty_graph(n: int, palette: str = BICHROMATIC) -> ColouredGraph:
     return ColouredGraph(n, frozenset(), palette)
 
@@ -220,16 +235,26 @@ def roots_from_graph(g: ColouredGraph) -> RootSet:
 
 
 def graph_from_roots(phi, n: int | None = None) -> ColouredGraph:
-    """The bichromatic graph of a symmetric subset of BC_n (inverse of roots_from_graph)."""
+    """The bichromatic graph of a symmetric subset of BC_n (inverse of roots_from_graph).
+
+    Without n, the dimension is the roots' length.  A bad set names its
+    least root of another length (the least root's, if the lengths differ
+    and n is not given), else its least root outside the table, else its
+    asymmetry: one message per set, whatever order it is read in.
+    """
     phi = frozenset(phi)
-    if n is None:
+    inferred = n is None
+    if inferred:
         if not phi:
             raise ValueError("cannot infer the node count of an empty root set")
         n = len(next(iter(phi)))
     edges: set[Edge] = set()
+    wrong_length: list[Root] = []
+    wrong_shape: list[Root] = []
     for alpha in phi:
         if len(alpha) != n:
-            raise ValueError(f"root {alpha} does not live in Q^{n}")
+            wrong_length.append(alpha)
+            continue
         support = [(i, c) for i, c in enumerate(alpha, start=1) if c != 0]
         if len(support) == 1 and support[0][1] in (-2, -1, 1, 2):
             k, c = support[0]
@@ -238,7 +263,17 @@ def graph_from_roots(phi, n: int | None = None) -> ColouredGraph:
             (i, ci), (j, cj) = support
             edges.add(straight(i, j, RED if ci != cj else GREEN))
         else:
-            raise ValueError(f"not a BC root: {alpha}")
+            wrong_shape.append(alpha)
+    # the error names the least malformed root, so the same set gets the
+    # same message whatever order the frozenset yields its roots in
+    if wrong_length:
+        if inferred:
+            # n came from whichever root was read first; take the least one's
+            n = len(min(phi))
+            wrong_length = [alpha for alpha in phi if len(alpha) != n]
+        raise ValueError(f"root {min(wrong_length)} does not live in Q^{n}")
+    if wrong_shape:
+        raise ValueError(f"not a BC root: {min(wrong_shape)}")
     # each edge names two roots, so phi holds both of every pair iff it has
     # twice as many roots as edges; after the shape checks, so a lone
     # malformed root is named as such
@@ -376,19 +411,24 @@ def weyl_act_graph(w: SignedPermutation, g: ColouredGraph) -> ColouredGraph:
 # serialisation
 
 
-def graph_to_json_obj(g: ColouredGraph) -> dict:
-    edges = []
-    for e in g.sorted_edges():
-        if e.is_loop:
-            edges.append({"kind": "loop", "k": e.ends[0], "colour": e.colour})
-        else:
-            edges.append({"kind": "straight", "i": e.ends[0], "j": e.ends[1], "colour": e.colour})
-    return {"palette": g.palette, "nodes": g.n, "edges": edges}
+@lru_cache(maxsize=_EDGE_MEMO_SIZE)
+def _edge_json(e: Edge) -> tuple[tuple, str]:
+    """An edge's `edge_sort_key` and its canonical JSON text, the object
+    {"kind", then "k" or "i" and "j", then "colour"} with no whitespace."""
+    if e.is_loop:
+        return edge_sort_key(e), f'{{"kind":"loop","k":{e.ends[0]},"colour":"{e.colour}"}}'
+    i, j = e.ends
+    return edge_sort_key(e), f'{{"kind":"straight","i":{i},"j":{j},"colour":"{e.colour}"}}'
+
+
+def _json_frame(palette: str, n: int, edge_texts: Iterable[str]) -> str:
+    """The canonical JSON of a graph from its edges' texts in sorted order."""
+    return f'{{"palette":"{palette}","nodes":{n},"edges":[{",".join(edge_texts)}]}}'
 
 
 def graph_to_json(g: ColouredGraph) -> str:
     """Canonical JSON form: fixed key order, sorted edges, no whitespace."""
-    return json.dumps(graph_to_json_obj(g), separators=(",", ":"))
+    return _json_frame(g.palette, g.n, [text for _, text in sorted(map(_edge_json, g.edges))])
 
 
 def _json_node(item: dict, key: str) -> int:

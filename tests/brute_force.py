@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 from crystallograph.crystal import graph_from_slot_mask
 from crystallograph.graphs import BICHROMATIC, BLUE, GREEN, RED, TRICHROMATIC, loop, straight
 
@@ -53,3 +55,20 @@ def reference_roots(g) -> frozenset:
         out.add(tuple(v))
         out.add(tuple(-c for c in v))
     return frozenset(out)
+
+
+def graph_to_json_obj(g) -> dict:
+    """The graph as a JSON object: palette, node count, then its edges in
+    `edge_sort_key` order, each with its kind, ends and colour."""
+    edges = []
+    for e in g.sorted_edges():
+        if e.is_loop:
+            edges.append({"kind": "loop", "k": e.ends[0], "colour": e.colour})
+        else:
+            edges.append({"kind": "straight", "i": e.ends[0], "j": e.ends[1], "colour": e.colour})
+    return {"palette": g.palette, "nodes": g.n, "edges": edges}
+
+
+def reference_json(g) -> str:
+    """The canonical JSON written by `json.dumps` of `graph_to_json_obj`."""
+    return json.dumps(graph_to_json_obj(g), separators=(",", ":"))

@@ -16,16 +16,11 @@ import json
 import random
 
 import pytest
+from brute_force import graph_to_json_obj
 
 from crystallograph import classical, cli
 from crystallograph.arrange import projectify
-from crystallograph.graphs import (
-    BICHROMATIC,
-    empty_graph,
-    graph_to_json_obj,
-    roots_from_graph,
-    roots_to_text,
-)
+from crystallograph.graphs import BICHROMATIC, empty_graph, roots_from_graph, roots_to_text
 
 SEED = 20240801
 CASES_PER_MUTATION = 40

@@ -53,7 +53,7 @@ from crystallograph.linalg import nullspace_basis
 from crystallograph.quotient import kernel_basis
 from crystallograph.rootsys import SignedPermutation, roots_a, weyl_apply, weyl_group
 
-from brute_force import all_bichromatic_graphs
+from brute_force import all_bichromatic_graphs, reference_json, reference_slots
 
 
 def test_is_crystallograph_classical_graphs():
@@ -246,6 +246,69 @@ def test_graph_from_slot_mask_rejects_masks_that_do_not_fit():
     assert graph_from_slot_mask(2, mask, TRICHROMATIC) == blue
     with pytest.raises(ValueError):
         graph_from_slot_mask(2, mask)
+
+
+@pytest.mark.parametrize("palette", [BICHROMATIC, TRICHROMATIC])
+def test_decoded_graph_is_the_checked_construction(palette):
+    for n in range(4):
+        slots = reference_slots(n, palette)
+        for mask in range(1 << len(slots)):
+            g = graph_from_slot_mask(n, mask, palette)
+            built = ColouredGraph(n, [e for b, e in enumerate(slots) if mask >> b & 1], palette)
+            assert type(g) is ColouredGraph and type(g.edges) is frozenset
+            assert g == built and hash(g) == hash(built), (n, mask)
+
+
+def test_graph_from_slot_mask_keeps_the_constructor_errors():
+    # the slot table of an unknown palette is the bichromatic one
+    for mask in (0, 1, (1 << 6) - 1):
+        with pytest.raises(ValueError, match="^unknown palette: 'x'$"):
+            graph_from_slot_mask(2, mask, "x")
+    with pytest.raises(ValueError, match="does not fit the 6 slots of a x graph"):
+        graph_from_slot_mask(2, 1 << 6, "x")
+    for palette in (BICHROMATIC, TRICHROMATIC, "x"):
+        with pytest.raises(ValueError, match="^node count must be >= 0$"):
+            graph_from_slot_mask(-1, 0, palette)
+
+
+@pytest.mark.parametrize("palette", [BICHROMATIC, TRICHROMATIC])
+def test_mask_text_is_the_json_of_the_decoded_graph(palette):
+    rng = random.Random(3303)
+    for n in (0, 1, 2, 3, 10, 12):
+        nslots = len(all_edge_slots(n, palette))
+        # every mask up to 3 nodes; at 10 and 12, two-digit labels sort
+        # differently as text
+        masks = range(1 << nslots) if n <= 3 else [rng.getrandbits(nslots) for _ in range(300)]
+        to_json = crystal._mask_to_json(n, palette)
+        for mask in masks:
+            assert to_json(mask) == graph_to_json(graph_from_slot_mask(n, mask, palette)), (n, mask)
+
+
+def _decoding_orbit_canonical(g):
+    """`orbit_canonical` as first written: the least (JSON, graph) over the
+    decoded images, each serialised by `json.dumps`."""
+    images = (
+        graph_from_slot_mask(g.n, mask, g.palette)
+        for mask in crystal._weyl_orbit_masks(g.n, g.palette, slot_mask(g))
+    )
+    return min(((reference_json(h), h) for h in images), key=lambda pair: pair[0])
+
+
+def test_orbit_canonical_equals_the_decoding_definition():
+    rng = random.Random(3304)
+    graphs = []
+    for palette in (BICHROMATIC, TRICHROMATIC):
+        for i in range(300):
+            n = 1 + i % 4
+            graphs.append(graph_from_slot_mask(n, rng.getrandbits(len(all_edge_slots(n, palette))), palette))
+    for g in graphs:
+        assert orbit_canonical(g) == _decoding_orbit_canonical(g), graph_to_json(g)
+    for n in range(6):
+        expected = [_decoding_orbit_canonical(g) for g in crystal._classical_unions(n)]
+        assert [orbit_canonical(g) for g in crystal._classical_unions(n)] == expected
+        # the listing builds the text order once for all its unions
+        expected.sort(key=lambda pair: pair[0])
+        assert list(enumerate_crystallographs(n, "up_to_weyl")) == [h for _, h in expected]
 
 
 def test_projective_predicate_matches_red_lift():

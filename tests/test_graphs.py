@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -35,9 +38,9 @@ from crystallograph.graphs import (
     straight,
     weyl_act_graph,
 )
-from crystallograph.rootsys import SignedPermutation, weyl_apply
+from crystallograph.rootsys import SignedPermutation, is_bc_root, weyl_apply
 
-from brute_force import all_bichromatic_graphs
+from brute_force import all_bichromatic_graphs, all_graphs, reference_json
 
 
 def test_edge_validation():
@@ -203,6 +206,69 @@ def test_graph_from_roots_names_a_root_outside_the_table(alpha):
         assert str(caught.value) in {f"not a BC root: {alpha}", f"not a BC root: {negated}"}
 
 
+# Seeded corrupted root sets: the roots of a random graph on 2..5 nodes and
+# three random vectors, some of another length, with n given or inferred.
+# Each set is built in the probe's own process, so the order its frozenset
+# yields its roots in follows the hash seed (the colours of its edges).
+CORRUPTED_ROOTS_PROBE = """
+import json, random
+from crystallograph.crystal import graph_from_slot_mask
+from crystallograph.graphs import graph_from_roots, roots_from_graph
+rng = random.Random(3302)
+cases = []
+for _ in range(3000):
+    n = rng.randrange(2, 6)
+    phi = set(roots_from_graph(graph_from_slot_mask(n, rng.getrandbits(n * n + n))))
+    for _ in range(3):
+        length = n if rng.randrange(4) else n + rng.choice((-1, 1))
+        phi.add(tuple(rng.randint(-3, 3) for _ in range(length)))
+    given = rng.choice((n, None))
+    try:
+        graph_from_roots(phi, given)
+        message = None
+    except ValueError as exc:
+        message = str(exc)
+    cases.append([sorted(phi), given, message])
+print(json.dumps(cases))
+"""
+
+
+def _expected_root_set_error(phi, n):
+    """The message the least malformed root gets, by `rootsys.is_bc_root`."""
+    if n is None:
+        n = len(min(phi))
+    wrong_length = [alpha for alpha in phi if len(alpha) != n]
+    if wrong_length:
+        return f"root {min(wrong_length)} does not live in Q^{n}"
+    wrong_shape = [alpha for alpha in phi if not is_bc_root(alpha)]
+    if wrong_shape:
+        return f"not a BC root: {min(wrong_shape)}"
+    return "graph_from_roots needs a symmetric root set"
+
+
+def test_graph_from_roots_names_the_same_root_under_every_hash_seed():
+    outputs = []
+    for seed in ("0", "1"):
+        result = subprocess.run(
+            [sys.executable, "-c", CORRUPTED_ROOTS_PROBE],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONHASHSEED": seed},
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
+    cases = json.loads(outputs[0])
+    several = 0
+    for roots, n, message in cases:
+        phi = frozenset(map(tuple, roots))
+        assert message == _expected_root_set_error(phi, n), (roots, n)
+        dim = len(roots[0]) if n is None else n
+        several += sum(len(alpha) != dim or not is_bc_root(alpha) for alpha in phi) > 1
+    # most sets have more than one root to choose from
+    assert len(cases) == 3000 and several > 1500
+
+
 def test_roundtrip_exhaustive_n_le_3():
     for n in (1, 2, 3):
         for g in all_bichromatic_graphs(n):
@@ -336,6 +402,33 @@ def test_json_canonical_form():
     )
     assert graph_to_json(b2) == expected
     assert graph_from_json(expected) == b2
+
+
+@pytest.mark.parametrize("palette", [BICHROMATIC, TRICHROMATIC])
+def test_json_equals_the_json_dumps_reference_on_every_graph(palette):
+    for n in range(4):
+        for g in all_graphs(n, palette):
+            assert graph_to_json(g) == reference_json(g)
+
+
+def test_json_equals_the_json_dumps_reference_on_long_labels():
+    # from 10 nodes on, labels of two digits sort numerically, not as text
+    rng = random.Random(3310)
+    for n in (10, 12):
+        for palette, colours in ((BICHROMATIC, (RED, GREEN)), (TRICHROMATIC, (RED, GREEN, BLUE))):
+            edges = [straight(i, j, c) for i in range(1, n + 1) for j in range(i + 1, n + 1) for c in (RED, GREEN)]
+            edges += [loop(k, c) for k in range(1, n + 1) for c in colours]
+            for _ in range(100):
+                g = ColouredGraph(n, rng.sample(edges, rng.randrange(len(edges) + 1)), palette)
+                assert graph_to_json(g) == reference_json(g)
+    big = 100_000
+    for g in (
+        ColouredGraph(big, [straight(big - 1, big, GREEN)]),
+        ColouredGraph(big, [straight(1, 2, RED)]),
+        ColouredGraph(big, [loop(big, BLUE)], TRICHROMATIC),
+    ):
+        assert graph_to_json(g) == reference_json(g)
+        assert graph_from_json(graph_to_json(g)) == g
 
 
 def test_json_roundtrip_random():

@@ -18,7 +18,7 @@ from crystallograph.graphs import BICHROMATIC, TRICHROMATIC, graph_to_json, root
 from crystallograph.quotient import KernelBasis
 
 # every memo that serves one value per edge or per component
-VALUE_MEMOS = ("crystal.model_edges", "crystal._slot_bit", "graphs._root_pair")
+VALUE_MEMOS = ("crystal.model_edges", "crystal._slot_bit", "graphs._root_pair", "graphs._edge_json")
 # every table built once per node count
 PER_N_TABLES = ("crystal.closure_rules", "crystal.all_edge_slots", "crystal._generator_tables", "oracle.line_tables")
 

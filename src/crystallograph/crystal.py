@@ -82,8 +82,8 @@ slots of a graph's palette, so each Coxeter generator of W(BC_n) is read
 off `weyl_act_graph` one edge at a time and kept as a few masked shifts,
 one selection mask per distance its slots move.  `orbit_canonical` closes
 the graph's mask under the n generators and ranks the distinct images by
-text built straight from their masks: the memoised JSON texts of the set
-slots (`graphs._edge_json`), taken in `graph_to_json`'s edge order.  Only
+text built straight from their masks: the JSON texts of the set slots,
+taken in `graph_to_json`'s edge order (`graphs._slot_texts`).  Only
 the least image is decoded into a graph; counting the orbits needs no
 closure.
 """
@@ -105,9 +105,8 @@ from .graphs import (
     _EDGE_MEMO_SIZE,
     ColouredGraph,
     Edge,
-    _edge_json,
     _json_frame,
-    _trusted_graph,
+    _slot_texts,
     connected_components,
     disjoint_union,
     empty_graph,
@@ -609,13 +608,7 @@ def graph_from_slot_mask(n: int, mask: int, palette: str = BICHROMATIC) -> Colou
         raise ValueError(
             f"slot mask {mask} does not fit the {len(slots)} slots of a {palette} graph on {n} nodes"
         )
-    # the checks `ColouredGraph` would make; its edge checks cannot fail on
-    # edges of the slot table, which lists an unknown palette's as bichromatic
-    if n < 0:
-        raise ValueError("node count must be >= 0")
-    if palette not in (BICHROMATIC, TRICHROMATIC):
-        raise ValueError(f"unknown palette: {palette!r}")
-    return _trusted_graph(
+    return ColouredGraph(
         n, frozenset(slots[b] for b in range(len(slots)) if mask >> b & 1), palette
     )
 
@@ -683,19 +676,6 @@ def _weyl_orbit_masks(n: int, palette: str, mask: int) -> set[int]:
     return seen
 
 
-def _mask_to_json(n: int, palette: str):
-    """The function taking a slot mask of this palette on n nodes to
-    `graph_to_json(graph_from_slot_mask(n, mask, palette))`, without
-    decoding it: the texts of its set slots, in `graph_to_json`'s edge order."""
-    slots = all_edge_slots(n, palette)
-    ordered = [(1 << b, text) for (_, text), b in sorted((_edge_json(e), b) for b, e in enumerate(slots))]
-
-    def to_json(mask: int) -> str:
-        return _json_frame(palette, n, [text for bit, text in ordered if mask & bit])
-
-    return to_json
-
-
 def orbit_canonical(g: ColouredGraph) -> tuple[str, ColouredGraph]:
     """Lexicographically minimal serialisation over the W(BC_n) orbit, with
     the graph it serialises.
@@ -705,13 +685,12 @@ def orbit_canonical(g: ColouredGraph) -> tuple[str, ColouredGraph]:
     group elements.  Each distinct image is ranked by the text of its mask
     and only the least one is decoded.
     """
-    return _least_image(g.n, g.palette, slot_mask(g), _mask_to_json(g.n, g.palette))
-
-
-def _least_image(n: int, palette: str, mask: int, to_json) -> tuple[str, ColouredGraph]:
-    """`orbit_canonical` of the graph with this slot mask, ranking the
-    images with `to_json`, the `_mask_to_json` of n and the palette."""
-    text, least = min((to_json(m), m) for m in _weyl_orbit_masks(n, palette, mask))
+    n, palette = g.n, g.palette
+    texts = _slot_texts(all_edge_slots(n, palette))
+    text, least = min(
+        (_json_frame(palette, n, [t for bit, t in texts if mask & bit]), mask)
+        for mask in _weyl_orbit_masks(n, palette, slot_mask(g))
+    )
     return text, graph_from_slot_mask(n, least, palette)
 
 
@@ -747,11 +726,7 @@ def _weyl_orbit_representatives(n: int) -> list[ColouredGraph]:
     """One representative per Weyl orbit of crystallographs on n nodes: the
     `orbit_canonical` graph of each of `_classical_unions(n)`, in order of
     its serialisation."""
-    to_json = _mask_to_json(n, BICHROMATIC)
-    results = sorted(
-        (_least_image(n, BICHROMATIC, slot_mask(g), to_json) for g in _classical_unions(n)),
-        key=lambda pair: pair[0],
-    )
+    results = sorted((orbit_canonical(g) for g in _classical_unions(n)), key=lambda pair: pair[0])
     return [g for _, g in results]
 
 
@@ -762,7 +737,7 @@ def _weyl_orbit_representatives(n: int) -> list[ColouredGraph]:
 SCAN_LIMIT = 4
 # `up_to_weyl` ranks every orbit's images by mask text and decodes only the
 # least: the 9,044 images of the 316 orbits at n = 5 take about 0.05 s, and
-# the 83,172 of the 759 at n = 6 would take about 0.7 s (2-vCPU Xeon,
+# the 83,172 of the 759 at n = 6 would take about 0.6 s (2-vCPU Xeon,
 # Python 3.11.7).
 ORBIT_LIMIT = 5
 # The seed of verify's sampled suites, defined here so that the CLI parser

@@ -31,8 +31,9 @@ reads each edge's pair +-alpha from another bounded memo, keyed by
 (n, edge), so the roots of the same few edges are not built again and again.
 `graph_to_json` reads each edge's canonical JSON text and sort key from a
 third memo, `_edge_json`, and joins the texts of its sorted edges inside
-the fixed graph frame, `_json_frame`; `crystal.orbit_canonical` builds the
-text of a slot mask from the same two.  One constant, `_EDGE_MEMO_SIZE`,
+the fixed graph frame, `_json_frame`.  `_slot_texts` lists the texts of a
+slot layout in that order once, so `crystal.orbit_canonical` builds the
+text of a slot mask without decoding it.  One constant, `_EDGE_MEMO_SIZE`,
 sizes every memo keyed by an edge, these four and `crystal._slot_bit`.
 
 Graphs are immutable values; equality is literal (same node count, same edge
@@ -182,16 +183,6 @@ class ColouredGraph:
 _set_n = ColouredGraph.n.__set__
 _set_edges = ColouredGraph.edges.__set__
 _set_palette = ColouredGraph.palette.__set__
-
-
-def _trusted_graph(n: int, edges: frozenset[Edge], palette: str) -> ColouredGraph:
-    """The graph `ColouredGraph(n, edges, palette)` without its checks, for
-    callers whose edges come from the slot table of this n and palette."""
-    g = object.__new__(ColouredGraph)
-    _set_n(g, n)
-    _set_edges(g, edges)
-    _set_palette(g, palette)
-    return g
 
 
 def empty_graph(n: int, palette: str = BICHROMATIC) -> ColouredGraph:
@@ -429,6 +420,14 @@ def _json_frame(palette: str, n: int, edge_texts: Iterable[str]) -> str:
 def graph_to_json(g: ColouredGraph) -> str:
     """Canonical JSON form: fixed key order, sorted edges, no whitespace."""
     return _json_frame(g.palette, g.n, [text for _, text in sorted(map(_edge_json, g.edges))])
+
+
+@lru_cache(maxsize=1)
+def _slot_texts(slots: tuple[Edge, ...]) -> tuple[tuple[int, str], ...]:
+    """Each slot of a layout as (its bit, its edge's JSON text), in
+    `graph_to_json`'s edge order: the graph whose edges are a mask's set
+    slots serialises to `_json_frame` around the texts of the set bits."""
+    return tuple((1 << b, text) for (_, text), b in sorted((_edge_json(e), b) for b, e in enumerate(slots)))
 
 
 def _json_node(item: dict, key: str) -> int:

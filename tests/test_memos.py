@@ -20,7 +20,13 @@ from crystallograph.quotient import KernelBasis
 # every memo that serves one value per edge or per component
 VALUE_MEMOS = ("crystal.model_edges", "crystal._slot_bit", "graphs._root_pair", "graphs._edge_json")
 # every table built once per node count
-PER_N_TABLES = ("crystal.closure_rules", "crystal.all_edge_slots", "crystal._generator_tables", "oracle.line_tables")
+PER_N_TABLES = (
+    "crystal.closure_rules",
+    "crystal.all_edge_slots",
+    "crystal._generator_tables",
+    "graphs._slot_texts",
+    "oracle.line_tables",
+)
 
 
 def test_model_edges_shares_one_frozenset_per_component():

@@ -20,7 +20,6 @@ its own work.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from functools import lru_cache
@@ -31,6 +30,7 @@ from .graphs import (
     BICHROMATIC,
     ColouredGraph,
     arrangement_from_graph,
+    dump_json,
     graph_from_json,
     graph_from_roots,
     graph_to_dot,
@@ -76,7 +76,12 @@ def _load_graph(path: str, roots_mode: bool = False, nodes: int | None = None) -
     return g
 
 
-def _normalized_pair(g: ColouredGraph, gp: ColouredGraph):
+def _load_pair(args) -> tuple[ColouredGraph, ColouredGraph]:
+    """The nested pair of `quotient` and `restrict`, normalised on --normalize."""
+    g = _load_graph(args.graph)
+    gp = _load_graph(args.subgraph)
+    if not args.normalize:
+        return g, gp
     gstar, w = crystal.bipartite_normalize(gp)
     flipped = [k for k, sign in enumerate(w.signs, start=1) if sign == -1]
     if flipped:
@@ -102,7 +107,7 @@ def _cmd_check(args) -> int:
             shown = "n/a" if value is None else ("yes" if value else "no")
             print(f"{name}: {shown}")
     else:
-        print(json.dumps({"palette": g.palette, **results}, separators=(",", ":")))
+        print(dump_json({"palette": g.palette, **results}))
     return 0
 
 
@@ -139,17 +144,14 @@ def _cmd_kernel(args) -> int:
         raise ValueError(f"kernel needs at most {KERNEL_MAX_N} nodes, got {g.n}")
     obj = quotient.kernel_basis(g).to_json_obj()
     obj["projection"] = [[str(x) for x in row] for row in quotient.orthogonal_projection(g)]
-    print(json.dumps(obj, separators=(",", ":")))
+    print(dump_json(obj))
     return 0
 
 
 def _cmd_quotient(args) -> int:
     from . import quotient
 
-    g = _load_graph(args.graph)
-    gp = _load_graph(args.subgraph)
-    if args.normalize:
-        g, gp = _normalized_pair(g, gp)
+    g, gp = _load_pair(args)
     print(graph_to_json(quotient.quotient_graph(g, gp)))
     if args.verify and not quotient.verify_quotient_theorem(g, gp):
         restricted = quotient.restricted_system(g, gp)
@@ -165,10 +167,7 @@ def _cmd_quotient(args) -> int:
 def _cmd_restrict(args) -> int:
     from . import quotient
 
-    g = _load_graph(args.graph)
-    gp = _load_graph(args.subgraph)
-    if args.normalize:
-        g, gp = _normalized_pair(g, gp)
+    g, gp = _load_pair(args)
     print(quotient.restricted_system(g, gp).to_json())
     return 0
 
@@ -198,7 +197,7 @@ def _cmd_arrangement(args) -> int:
         "hyperplanes": sorted(list(h.normal) for h in hyperplanes),
         "components": report.to_json_obj()["components"],
     }
-    print(json.dumps(obj, separators=(",", ":")))
+    print(dump_json(obj))
     return 0
 
 
@@ -206,8 +205,8 @@ def _cmd_enumerate(args) -> int:
     if args.count_only:
         print(crystal.count_enumerated(args.nodes, args.mode))
     else:
-        for g in crystal.enumerate_crystallographs(args.nodes, args.mode):
-            print(graph_to_json(g))
+        for text, _ in crystal.ranked_enumeration(args.nodes, args.mode):
+            print(text)
     return 0
 
 

@@ -86,14 +86,18 @@ text built straight from their masks: the JSON texts of the set slots,
 taken in `graph_to_json`'s edge order (`graphs._slot_texts`).  Only
 the least image is decoded into a graph; counting the orbits needs no
 closure.
+
+`ranked_enumeration` is every listing of `enumerate`, as (canonical JSON,
+graph) pairs sorted by the JSON: up to Weyl the `orbit_canonical` pairs of
+the classical unions, else each decoded closed mask with its
+`graph_to_json`, so no listed graph is serialised twice.
 """
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from collections.abc import Iterable, Mapping
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 from itertools import combinations
 
 from .graphs import (
@@ -109,6 +113,7 @@ from .graphs import (
     _slot_texts,
     connected_components,
     disjoint_union,
+    dump_json,
     empty_graph,
     graph_to_json,
     lift,
@@ -412,7 +417,7 @@ class ComponentReport(namedtuple("ComponentReport", "components")):
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), separators=(",", ":"))
+        return dump_json(self.to_json_obj())
 
 
 # tag -> (loop colours at every node, loop colour at exactly the detail nodes);
@@ -722,14 +727,6 @@ def _classical_unions(n: int):
     return build(n, (0, ""), empty_graph(0))
 
 
-def _weyl_orbit_representatives(n: int) -> list[ColouredGraph]:
-    """One representative per Weyl orbit of crystallographs on n nodes: the
-    `orbit_canonical` graph of each of `_classical_unions(n)`, in order of
-    its serialisation."""
-    results = sorted((orbit_canonical(g) for g in _classical_unions(n)), key=lambda pair: pair[0])
-    return [g for _, g in results]
-
-
 # Not the cost of 2^(n^2+n) masks: `closed_masks` lists the 83,172
 # crystallographs on 6 nodes in 0.3 s (2-vCPU Xeon, Python 3.11.7).  4 stays
 # for verify, which samples the bijection above it, and for the sampled case
@@ -761,22 +758,28 @@ def _enumeration_rules(n: int, mode: str) -> HornRules | None:
     return closure_rules(n, CRYSTAL_PROPAGATING if mode == "all" else QUASI_PROPAGATING)
 
 
-def enumerate_crystallographs(n: int, mode: str = "all"):
-    """Stream graphs on n nodes passing the requested predicate.
+def ranked_enumeration(n: int, mode: str = "all") -> list[tuple[str, ColouredGraph]]:
+    """The graphs on n nodes passing the requested predicate, as
+    (canonical JSON, graph) pairs sorted by the JSON.
 
-    mode "all" / "quasi" lists the closed masks of the crystal or quasi
-    rules with `closed_masks` (n <= SCAN_LIMIT); "up_to_weyl" yields one
-    canonical representative per Weyl orbit of crystallographs
-    (n <= ORBIT_LIMIT), built from the classification rather than from the
-    rules.  Output is sorted by canonical serialisation.
+    mode "all" / "quasi" decodes the closed masks of the crystal or quasi
+    rules (n <= SCAN_LIMIT); "up_to_weyl" takes one `orbit_canonical` pair
+    per Weyl orbit of crystallographs (n <= ORBIT_LIMIT), built from the
+    classification rather than from the rules.
     """
     rules = _enumeration_rules(n, mode)
     if rules is None:
-        yield from _weyl_orbit_representatives(n)
-        return
-    found = [graph_from_slot_mask(n, mask) for mask in closed_masks(rules)]
-    found.sort(key=graph_to_json)
-    yield from found
+        ranked = [orbit_canonical(g) for g in _classical_unions(n)]
+    else:
+        ranked = [(graph_to_json(g), g) for g in map(partial(graph_from_slot_mask, n), closed_masks(rules))]
+    ranked.sort(key=lambda pair: pair[0])
+    return ranked
+
+
+def enumerate_crystallographs(n: int, mode: str = "all"):
+    """Stream the graphs of `ranked_enumeration(n, mode)`, in its order."""
+    for _, g in ranked_enumeration(n, mode):
+        yield g
 
 
 def count_enumerated(n: int, mode: str = "all") -> int:

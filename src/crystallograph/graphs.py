@@ -417,6 +417,11 @@ def _json_frame(palette: str, n: int, edge_texts: Iterable[str]) -> str:
     return f'{{"palette":"{palette}","nodes":{n},"edges":[{",".join(edge_texts)}]}}'
 
 
+def dump_json(obj) -> str:
+    """The package's one JSON writer: `json.dumps` with no whitespace."""
+    return json.dumps(obj, separators=(",", ":"))
+
+
 def graph_to_json(g: ColouredGraph) -> str:
     """Canonical JSON form: fixed key order, sorted edges, no whitespace."""
     return _json_frame(g.palette, g.n, [text for _, text in sorted(map(_edge_json, g.edges))])

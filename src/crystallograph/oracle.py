@@ -33,6 +33,10 @@ list is the one a check of every item would give.  Their memo lives for
 one call and is keyed by slot masks, plain ints scoped by node count and
 palette, so it holds no graph.
 
+`verify_all` wires the graph suites once, in `_graph_failures`: they read
+the swept crystallographs at n <= SCAN_LIMIT, and one seeded stream of
+draws per suite above it.
+
 The kernel suite, `kernel_failures`, compares `quotient.kernel_basis` with
 the generic nullspace of the graph's roots, one root per +- line, and then
 checks `quotient.orthogonal_projection` in integers: cleared to P / D
@@ -44,7 +48,6 @@ No Fraction matrix is multiplied.
 
 from __future__ import annotations
 
-import json
 import random
 import time
 from collections import defaultdict, namedtuple
@@ -78,6 +81,7 @@ from .crystal import (
 from .graphs import (
     BICHROMATIC,
     ColouredGraph,
+    dump_json,
     graph_to_json,
     roots_from_graph,
     weyl_act_graph,
@@ -577,28 +581,6 @@ def cardinality_failures() -> list[str]:
     return failures
 
 
-def _swept_failures(n: int) -> tuple[int, int, list[str]]:
-    """The bijection, orbit, classification and kernel suites at n <= SCAN_LIMIT.
-
-    Returns (crystallograph count, quasi count, failures).  The swept list
-    of crystallographs is read by all four suites and dies with this call.
-    """
-    _, crystallographs, quasi_count, failures = bijection_sweep(n)
-    crystallograph_count = len(crystallographs)
-    if crystallograph_count != count_crystallographs(n):
-        failures.append(
-            f"crystallograph count {crystallograph_count} != closed form {count_crystallographs(n)}"
-        )
-    if quasi_count != count_quasi_crystallographs(n):
-        failures.append(
-            f"quasi count {quasi_count} != closed form {count_quasi_crystallographs(n)}"
-        )
-    failures += weyl_orbit_failures(n, crystallographs)
-    failures += classification_failures(crystallographs)
-    failures += kernel_failures(crystallographs)
-    return crystallograph_count, quasi_count, failures
-
-
 def _crystallograph_draws(n: int, count: int, seed: int):
     """`count` graphs drawn by `random_crystallograph` from one seeded stream."""
     rng = random.Random(seed)
@@ -606,18 +588,33 @@ def _crystallograph_draws(n: int, count: int, seed: int):
         yield random_crystallograph(n, rng)
 
 
-def _sampled_failures(n: int, samples: int, seed: int) -> tuple[int, int, list[str]]:
-    """The sampled bijection, classification and kernel suites at n > SCAN_LIMIT.
+def _graph_failures(n: int, samples: int, seed: int) -> tuple[int, int, list[str]]:
+    """The bijection, orbit, classification and kernel suites, each called once.
 
-    Returns the closed-form counts and the failures.  The classification
-    and kernel suites each read their own stream of the same seeded draws,
-    so no draw is held once its suite has checked it.
+    At n <= SCAN_LIMIT the swept counts are checked against the closed forms
+    and the swept list feeds the other three suites.  Above it the bijection
+    is sampled, and the classification and kernel suites each read their own
+    stream of at most 2,000 seeded draws.  Returns (crystallograph count,
+    quasi count, failures), the counts swept or closed-form.
     """
-    _, _, _, failures = bijection_sweep(n, samples=samples, seed=seed)
-    draws = min(samples, 2000)
-    failures += classification_failures(_crystallograph_draws(n, draws, seed + 1))
-    failures += kernel_failures(_crystallograph_draws(n, draws, seed + 1))
-    return count_crystallographs(n), count_quasi_crystallographs(n), failures
+    crystallograph_count, quasi_count = count_crystallographs(n), count_quasi_crystallographs(n)
+    if n <= SCAN_LIMIT:
+        _, crystallographs, swept_quasi, failures = bijection_sweep(n)
+        swept = len(crystallographs)
+        if swept != crystallograph_count:
+            failures.append(f"crystallograph count {swept} != closed form {crystallograph_count}")
+        if swept_quasi != quasi_count:
+            failures.append(f"quasi count {swept_quasi} != closed form {quasi_count}")
+        failures += weyl_orbit_failures(n, crystallographs)
+        crystallograph_count, quasi_count = swept, swept_quasi
+        streams = [crystallographs] * 2
+    else:
+        _, _, _, failures = bijection_sweep(n, samples=samples, seed=seed)
+        draws = min(samples, 2000)
+        streams = [_crystallograph_draws(n, draws, seed + 1) for _ in range(2)]
+    failures += classification_failures(streams[0])
+    failures += kernel_failures(streams[1])
+    return crystallograph_count, quasi_count, failures
 
 
 VERIFY_LIMIT = 6  # weyl_commutation_failures walks all 2^n n! = 46080 elements at n = 6
@@ -639,12 +636,10 @@ def verify_all(
     is closed-form only.  Deterministic for a fixed seed regardless of
     internal ordering.
 
-    No list of graphs outlives the suites that read it.  Above SCAN_LIMIT
-    the classification and kernel suites each draw their own seeded stream,
-    so memory does not grow with the number of graphs they check; at
-    n <= SCAN_LIMIT the swept list lives only in the step that runs the
-    bijection, orbit, classification and kernel suites, which returns
-    before the pair and Weyl suites start.
+    No list of graphs outlives `_graph_failures`, which runs the bijection,
+    orbit, classification and kernel suites before the pair and Weyl suites
+    start; above SCAN_LIMIT its suites read seeded streams, so memory does
+    not grow with the number of graphs they check.
     """
     if n > VERIFY_LIMIT:
         raise ValueError(f"n={n} exceeds the verification limit {VERIFY_LIMIT}")
@@ -653,10 +648,7 @@ def verify_all(
     start = time.monotonic()
     total_graphs = 1 << (n * n + n)
 
-    if n <= SCAN_LIMIT:
-        crystallograph_count, quasi_count, failures = _swept_failures(n)
-    else:
-        crystallograph_count, quasi_count, failures = _sampled_failures(n, samples, seed)
+    crystallograph_count, quasi_count, failures = _graph_failures(n, samples, seed)
 
     if n <= PAIR_LIMIT:
         failures += pair_failures(nested_pairs_exhaustive(n))
@@ -681,4 +673,4 @@ def verify_all(
 def summary_to_json(summary: EnumerationSummary, failures: list[str]) -> str:
     obj = summary._asdict()
     obj["failures"] = failures
-    return json.dumps(obj, separators=(",", ":"))
+    return dump_json(obj)

@@ -14,12 +14,11 @@ projective quotient of `arrange` is `projectify` of it on the lifted pair.
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from fractions import Fraction
 
 from .crystal import InconsistencyError, classify_components, is_crystallograph
-from .graphs import GREEN, RED, ColouredGraph, loop, roots_from_graph, straight
+from .graphs import GREEN, RED, ColouredGraph, dump_json, loop, roots_from_graph, straight
 from .linalg import RationalMatrix
 from .rootsys import is_bc_root
 
@@ -36,7 +35,7 @@ class KernelBasis(namedtuple("KernelBasis", "parts vectors")):
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), separators=(",", ":"))
+        return dump_json(self.to_json_obj())
 
 
 class RestrictedSystem(namedtuple("RestrictedSystem", "dimension covectors")):
@@ -56,7 +55,7 @@ class RestrictedSystem(namedtuple("RestrictedSystem", "dimension covectors")):
         return {"dimension": self.dimension, "covectors": [list(v) for v in sorted(self.covectors)]}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), separators=(",", ":"))
+        return dump_json(self.to_json_obj())
 
 
 def _classical_red_parts(g: ColouredGraph) -> list[tuple[int, ...]]:

@@ -19,7 +19,7 @@ def forbid_work(monkeypatch):
     for module, name in (
         (crystal, "closure_rules"),
         (crystal, "closed_masks"),
-        (crystal, "_weyl_orbit_representatives"),
+        (crystal, "orbit_canonical"),
         (crystal, "_classical_unions"),
         (oracle, "line_tables"),
         (oracle, "closure_rules"),

@@ -52,30 +52,37 @@ has no check of its own: the quasi precondition is `classify_components`'.
 
 Two graph-level answers are memoised, because every layer above asks for
 them again: `_graph_closed(g, propagating)`, the one closure check behind
-the predicates, and `classify_components(g)`, the ComponentReport.
-A nested pair goes through six quotient routes, each testing both graphs
-and classifying the subgraph, and one projective classification; the kernel
-suite classifies each graph three times.  The key is the graph's value
-(node count, frozen edge set, palette), so equal graphs built apart share an
-entry; exceptions are not cached.
-Each memo is a `functools.lru_cache` of `_MEMO_SIZE` entries:
-the repeats come close together, and an unbounded memo, or one kept on
-each graph, would hold on to the graphs of a whole sweep and raise the
-peak memory of `verify`.  The sweep-long memo of the `oracle` suites,
-which skips repeated draws, is keyed by slot-mask ints for the same reason
-(see `oracle._replayed_failures`).
+the predicates, and `classify_components(g)`, the ComponentReport.  A
+nested pair's quotient routes test both graphs and classify the subgraph
+again and again, and the sampled pair stream draws the same graphs again
+hundreds of draws later.  For a bichromatic graph on at most
+`_TABLE_MAX_N` nodes the key is one int, its slot mask and node count
+packed by `_mask_key` (and the rule set's bit, for closure): the graph
+caches its slot mask, so the key is free after the first encoding, equal
+graphs built apart share an entry, and no memo holds a graph.  A
+classification miss decodes the mask afresh, and the reports share their
+`Component` objects through `_shared`.  Each of the two is a
+`functools.lru_cache` of `_MASK_MEMO_SIZE` entries, sized to the pair
+stream's working set.  Larger graphs and trichromatic input go to memos
+keyed by the graph, of `_MEMO_SIZE` entries, as nested pairs do in
+`quotient.quotient_graph`: an unbounded memo, or one kept on each graph,
+would hold on to the graphs of a whole sweep and raise the peak memory of
+`verify`.  Exceptions are never cached.  The sweep-long memo of the
+`oracle` suites, which skips repeated draws, is keyed by slot-mask ints
+for the same reason (see `oracle._replayed_failures`).
 
-Two value-level memos hold no graph at all, since their keys are the small
-values graphs are made of: `_slot_bit(n, e)`, the bit `_slot` gives an
-interned edge, which `slot_mask` ORs over a graph's edges, and
+Three value-level memos hold no graph at all, since their keys are the
+small values graphs are made of: `_slot_bit(n, e)`, the bit `_slot` gives
+an interned edge, which `slot_mask` ORs over a graph's edges,
 `model_edges(comp)`, keyed by the `Component` value, so a model matched,
 drawn or rebuilt again is one shared frozenset (`graphs._root_pair` keeps
-each edge's +- roots for `roots_from_graph` the same way).  The sampled
+each edge's +- roots for `roots_from_graph` the same way), and
+`_shared(comp)`, the first equal Component it was given.  The sampled
 suites ask for the same few edges and components over and over; each memo
 is a `functools.lru_cache` bounded by a named constant, `_MODEL_MEMO_SIZE`
 or `graphs._EDGE_MEMO_SIZE`, the one size of every per-edge memo, and
-importing the package fills neither.  `model_graph` is a model as a graph on
-nodes 1..m, drawn by `model_edges`.
+importing the package fills none of them.  `model_graph` is a model as a
+graph on nodes 1..m, drawn by `model_edges`.
 
 Weyl orbits are found on slot masks too.  A signed permutation permutes the
 slots of a graph's palette, so each Coxeter generator of W(BC_n) is read
@@ -110,6 +117,7 @@ from .graphs import (
     ColouredGraph,
     Edge,
     _json_frame,
+    _set_slot_mask,
     _slot_texts,
     connected_components,
     disjoint_union,
@@ -233,12 +241,16 @@ def slot_mask(g: ColouredGraph) -> int:
 
     Every graph mask has this one layout: the n^2 + n bichromatic slots,
     then the n blue loops, so a bichromatic graph never sets the blue bits.
-    `graph_from_slot_mask` is its inverse.
+    `graph_from_slot_mask` is its inverse.  The mask is cached on the graph,
+    so each graph is encoded once.
     """
-    n = g.n
-    mask = 0
-    for e in g.edges:
-        mask |= _slot_bit(n, e)
+    mask = g._slot_mask
+    if mask is None:
+        n = g.n
+        mask = 0
+        for e in g.edges:
+            mask |= _slot_bit(n, e)
+        _set_slot_mask(g, mask)
     return mask
 
 
@@ -309,12 +321,39 @@ def closed_masks(rules: HornRules, within: int | None = None):
                 stack.append((child, bit.bit_length()))
 
 
+# Graphs on at most this many nodes are checked against the cached full
+# table, which is faster there; larger ones with `_edges_closed`.
+_TABLE_MAX_N = 8
+
+# Entries of each memo keyed by `_mask_key` ints (`_mask_closed`,
+# `_mask_classified`).  `verify --nodes 4` draws 10,000 pairs, 4,005 of
+# them distinct, and classifies 1,142 distinct graphs 17,916 times.  Swept
+# over 256, 512, 1,024 and 2,048 entries, the classification misses there
+# are 6,868, 4,036, 2,539 and 1,142, and the process's CPU time (median of
+# five fresh runs, 2-vCPU Xeon, Python 3.11.7) 1.41, 1.33, 1.29 and 1.20 s
+# against 1.78 s with graph-keyed memos of 8 entries, while its peak RSS
+# grows by 0.1, 0.3, 0.5 and 0.6 MB over 16.6 MB.  `verify --nodes 6
+# --samples 2000` takes 1.29, 1.33, 1.21 and 1.10 s against 1.26 s, and
+# grows by 0.1, 0.3, 0.4 and 0.9 MB over 17.0 MB.  An entry holds about
+# 0.3 kB for a report and 0.16 kB for a closure answer (tracemalloc):
+# 1,024 is the largest size that keeps both runs within 3% of their peak
+# memory.
+_MASK_MEMO_SIZE = 1024
+# Entries of each memo keyed by graphs (`_edges_closed`, `_graph_classified`,
+# `quotient.quotient_graph`): graphs above `_TABLE_MAX_N`, trichromatic
+# input, and nested pairs.  The repeats come in runs over the few graphs of
+# one check; the pair suite asks for each pair's quotient four times in a row.
+_MEMO_SIZE = 8
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
 def _edges_closed(g: ColouredGraph, propagating: frozenset[str]) -> bool:
     """Whether g satisfies every implication between its own edges.
 
     Each edge's implications come from `_implications`, with g's straight
     edges as the only partners, so the answer is that of the full table
-    while the work follows the edges at each node, not n.
+    while the work follows the edges at each node, not n.  Memoised by
+    graph, since it checks the graphs too large for the slot-mask memo.
     """
     n = g.n
     held = set()
@@ -334,22 +373,29 @@ def _edges_closed(g: ColouredGraph, propagating: frozenset[str]) -> bool:
     return True
 
 
-# Graphs on at most this many nodes are checked against the cached full
-# table, which is faster there; larger ones with `_edges_closed`.
-_TABLE_MAX_N = 8
-
-# Entries of each graph-level memo (`_graph_closed`, `classify_components`).
-# The repeats come in runs over the few graphs of one check, a nested pair
-# being the widest at six closure keys.  Measured on `verify --nodes 6
-# --samples 2000`, the closure hits climb to 19,387 of 36,033 calls at six
-# entries and then gain under 2% per doubling up to 64 entries.
-_MEMO_SIZE = 8
+# the rule sets of the closure memo, by the bit that names them in its key
+_RULE_SETS = (CRYSTAL_PROPAGATING, QUASI_PROPAGATING)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
+def _mask_key(g: ColouredGraph) -> int:
+    """A graph on at most `_TABLE_MAX_N` (< 16) nodes as one int, its slot
+    mask and node count packed as mask << 4 | n, so a memo keyed by it holds
+    one int per entry and neither a tuple nor a graph."""
+    return slot_mask(g) << 4 | g.n
+
+
+@lru_cache(maxsize=_MASK_MEMO_SIZE)
+def _mask_closed(key: int) -> bool:
+    """Whether the graph of `_mask_key` key >> 1 satisfies the closure rules
+    of the rule set `_RULE_SETS[key & 1]`."""
+    return closed(key >> 5, closure_rules(key >> 1 & 15, _RULE_SETS[key & 1]))
+
+
 def _graph_closed(g: ColouredGraph, propagating: frozenset[str]) -> bool:
+    """The one closure check behind the predicates, memoised by slot mask up
+    to `_TABLE_MAX_N` nodes and by graph above."""
     if g.n <= _TABLE_MAX_N:
-        return closed(slot_mask(g), closure_rules(g.n, propagating))
+        return _mask_closed(_mask_key(g) << 1 | _RULE_SETS.index(propagating))
     return _edges_closed(g, propagating)
 
 
@@ -435,10 +481,12 @@ _TAG_OF_LOOPS = {loops: tag for tag, loops in _LOOP_MODELS.items()}
 _PROJECTIVE_TAG = {"C": "BorC", "CplusD": "ExoticBD"}
 
 
-# Entries of the `model_edges` memo.  `verify --nodes 6 --samples 2000` asks
-# for 909 distinct components in 38,470 calls, and 256 entries answer 88% of
-# them (128: 80%, 512: 96%); `verify --nodes 4` asks for 165, all kept.  An
-# entry holds about 0.7 kB at n = 6 (tracemalloc).
+# Entries of the `model_edges` and `_shared` memos.  `verify --nodes 6
+# --samples 2000` asks `model_edges` for 909 distinct components in 38,470
+# calls, and 256 entries answer 88% of them (128: 80%, 512: 96%); `verify
+# --nodes 4` asks for 165, all kept.  An entry holds about 0.7 kB at n = 6
+# (tracemalloc).  Sharing the components halves what a cached report holds,
+# from about 0.66 to 0.28 kB at n = 4.
 _MODEL_MEMO_SIZE = 256
 
 
@@ -466,6 +514,13 @@ def model_edges(comp: Component) -> frozenset[Edge]:
         (marked_nodes,) = comp.detail
         edges |= {loop(k, marked) for k in marked_nodes}
     return frozenset(edges)
+
+
+@lru_cache(maxsize=_MODEL_MEMO_SIZE)
+def _shared(comp: Component) -> Component:
+    """The cached Component equal to comp, so the memoised reports share
+    one object per component rather than each holding its own."""
+    return comp
 
 
 def model_graph(m: int, tag: str, detail=()) -> ColouredGraph:
@@ -530,16 +585,38 @@ def _match_component(nodes: tuple[int, ...], edges: list[Edge]) -> Component:
     )
 
 
+def _classified(g: ColouredGraph) -> ComponentReport:
+    """`classify_components` without its memos."""
+    if not is_quasi_crystallograph(g):
+        raise ValueError("classify_components needs a quasi-crystallograph")
+    return ComponentReport(
+        tuple(_shared(_match_component(p, edges)) for p, edges in _split_components(g))
+    )
+
+
+@lru_cache(maxsize=_MASK_MEMO_SIZE)
+def _mask_classified(key: int) -> ComponentReport:
+    """`_classified` of the graph whose `_mask_key` is key, decoded afresh."""
+    return _classified(graph_from_slot_mask(key & 15, key >> 4))
+
+
 @lru_cache(maxsize=_MEMO_SIZE)
+def _graph_classified(g: ColouredGraph) -> ComponentReport:
+    """`_classified`, memoised by graph, for what `_mask_key` does not pack."""
+    return _classified(g)
+
+
 def classify_components(g: ColouredGraph) -> ComponentReport:
     """Decompose a quasi-crystallograph into typed components.
 
     Degenerate exotic parameters collapse to their classical tags, so
-    BplusC/CplusD are only ever emitted with 0 < r < r + s.
+    BplusC/CplusD are only ever emitted with 0 < r < r + s.  Memoised by
+    slot mask for bichromatic graphs up to `_TABLE_MAX_N` nodes, and by
+    graph otherwise.
     """
-    if not is_quasi_crystallograph(g):
-        raise ValueError("classify_components needs a quasi-crystallograph")
-    return ComponentReport(tuple(_match_component(p, edges) for p, edges in _split_components(g)))
+    if g.palette == BICHROMATIC and g.n <= _TABLE_MAX_N:
+        return _mask_classified(_mask_key(g))
+    return _graph_classified(g)
 
 
 def classify_projective_components(g: ColouredGraph) -> ComponentReport:
@@ -606,16 +683,23 @@ def all_edge_slots(n: int, palette: str = BICHROMATIC) -> tuple[Edge, ...]:
 
 def graph_from_slot_mask(n: int, mask: int, palette: str = BICHROMATIC) -> ColouredGraph:
     """The graph whose edges are the set bits of a slot mask; the inverse of
-    `slot_mask`.  A negative mask, or one with a bit beyond the palette's
-    slots (a blue loop decoded as bichromatic), is a ValueError."""
+    `slot_mask`, whose cache it fills.  A negative mask, or one with a bit
+    beyond the palette's slots (a blue loop decoded as bichromatic), is a
+    ValueError."""
     slots = all_edge_slots(n, palette)
     if mask < 0 or mask >> len(slots):
         raise ValueError(
             f"slot mask {mask} does not fit the {len(slots)} slots of a {palette} graph on {n} nodes"
         )
-    return ColouredGraph(
-        n, frozenset(slots[b] for b in range(len(slots)) if mask >> b & 1), palette
-    )
+    edges = []
+    m = mask
+    while m:
+        low = m & -m
+        edges.append(slots[low.bit_length() - 1])
+        m ^= low
+    g = ColouredGraph(n, frozenset(edges), palette)
+    _set_slot_mask(g, mask)
+    return g
 
 
 def _slot_moves(images: list[int]) -> tuple[tuple[int, int], ...]:

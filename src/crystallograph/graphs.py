@@ -38,8 +38,10 @@ sizes every memo keyed by an edge, these four and `crystal._slot_bit`.
 
 Graphs are immutable values; equality is literal (same node count, same edge
 set).  The constructor freezes whatever edge iterable it is given, so every
-graph hashes and can key a cache.  The canonical JSON form and the DOT
-export are byte-deterministic.
+graph hashes and can key a cache.  A graph also caches its slot mask, which
+`crystal` fills (`_set_slot_mask`) and keys its memos by; the cache is no
+part of the value.  The canonical JSON form and the DOT export are
+byte-deterministic.
 
 The package's small value types (`Hyperplane` here, `SignedPermutation`,
 `Component`, `ComponentReport`, `KernelBasis`, `RestrictedSystem` and
@@ -128,9 +130,14 @@ def edge_sort_key(e: Edge) -> tuple:
 
 class ColouredGraph:
     """A coloured graph on nodes 1..n: an immutable value, compared and hashed
-    by (n, edges, palette) and equal only to another ColouredGraph."""
+    by (n, edges, palette) and equal only to another ColouredGraph.
 
-    __slots__ = ("n", "edges", "palette", "__weakref__")
+    `_slot_mask` caches the graph's `crystal.slot_mask`, None until the
+    decoder or the first encoding fills it; equality, hashing, copying and
+    pickling ignore it.
+    """
+
+    __slots__ = ("n", "edges", "palette", "_slot_mask", "__weakref__")
 
     def __init__(self, n: int, edges: Iterable[Edge], palette: str = BICHROMATIC) -> None:
         if type(edges) is not frozenset:
@@ -150,6 +157,7 @@ class ColouredGraph:
         _set_n(self, n)
         _set_edges(self, edges)
         _set_palette(self, palette)
+        _set_slot_mask(self, None)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -183,6 +191,8 @@ class ColouredGraph:
 _set_n = ColouredGraph.n.__set__
 _set_edges = ColouredGraph.edges.__set__
 _set_palette = ColouredGraph.palette.__set__
+# `crystal` fills the cached slot mask through this one
+_set_slot_mask = ColouredGraph._slot_mask.__set__
 
 
 def empty_graph(n: int, palette: str = BICHROMATIC) -> ColouredGraph:

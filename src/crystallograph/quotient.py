@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 
-from .crystal import InconsistencyError, classify_components, is_crystallograph
+from .crystal import _MEMO_SIZE, InconsistencyError, classify_components, is_crystallograph
 from .graphs import GREEN, RED, ColouredGraph, dump_json, loop, roots_from_graph, straight
 from .linalg import RationalMatrix
 from .rootsys import is_bc_root
@@ -146,6 +147,7 @@ def _rewrite(g: ColouredGraph, gp: ColouredGraph, parts) -> ColouredGraph:
     return ColouredGraph(len(parts), frozenset(edges))
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def quotient_graph(g: ColouredGraph, gp: ColouredGraph) -> ColouredGraph:
     """The quotient of nested crystallographs, on the red components of gp.
 
@@ -159,7 +161,8 @@ def quotient_graph(g: ColouredGraph, gp: ColouredGraph) -> ColouredGraph:
       * a loop of its own colour, if it is a loop at a node of a part.
 
     Edges inside the bichromatic components of gp restrict to zero and are
-    dropped.  The edge set is deduplicated.
+    dropped.  The edge set is deduplicated.  Memoised by the pair: the pair
+    suite asks for each pair's quotient four times in a row.
     """
     parts = _nested_parts(g, gp)
     return _rewrite(g, gp, parts)

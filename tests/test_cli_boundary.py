@@ -7,13 +7,19 @@ from pathlib import Path
 
 import pytest
 
-from crystallograph import classical, cli, crystal
+from crystallograph import classical, cli, crystal, quotient
 from crystallograph.crystal import InconsistencyError
 from crystallograph.graphs import RED, graph, graph_to_json, straight
 
 # main maps exceptions to exit statuses; the two loaders add the path to theirs
 HANDLERS = {"main", "_read_file", "_load_graph"}
 _TRY_NODES = tuple(getattr(ast, name) for name in ("Try", "TryStar") if hasattr(ast, name))
+
+
+def _clear_classification_memos():
+    # a cached report or quotient would answer without the patched matcher
+    for memo in (crystal._mask_classified, crystal._graph_classified, quotient.quotient_graph):
+        memo.cache_clear()
 
 
 def stray_try_statements(source: str) -> list[str]:
@@ -89,10 +95,10 @@ def test_inconsistency_is_not_an_input_error(capsys, monkeypatch, tmp_path, argv
     for name, g in files.items():
         (tmp_path / name).write_text(graph_to_json(g))
     argv = [str(tmp_path / a) if a in files else a for a in argv]
-    crystal.classify_components.cache_clear()
+    _clear_classification_memos()
     monkeypatch.setattr(crystal, "_match_component", falsified)
     code = cli.main(argv)
-    crystal.classify_components.cache_clear()
+    _clear_classification_memos()
     out, err = capsys.readouterr()
     assert code == 1 and out == ""
     assert err.startswith("internal inconsistency: component (") and err.count("\n") == 1
@@ -105,12 +111,12 @@ def test_falsified_projective_classification_is_an_inconsistency(capsys, monkeyp
     path = tmp_path / "exotic.json"
     path.write_text(graph_to_json(exotic))
     table = {loops: tag for loops, tag in crystal._TAG_OF_LOOPS.items() if tag != "CplusD"}
-    crystal.classify_components.cache_clear()
+    _clear_classification_memos()
     monkeypatch.setattr(crystal, "_TAG_OF_LOOPS", table)
     with pytest.raises(InconsistencyError):
         crystal.classify_projective_components(exotic)
     code = cli.main(["classify", str(path)])
-    crystal.classify_components.cache_clear()
+    _clear_classification_memos()
     out, err = capsys.readouterr()
     assert code == 1 and out == ""
     assert err.startswith("internal inconsistency:") and err.count("\n") == 1

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import random
+import weakref
 from collections import Counter
+from functools import partial
 from itertools import chain, combinations
 
 import pytest
@@ -55,7 +57,7 @@ from crystallograph.linalg import nullspace_basis
 from crystallograph.quotient import kernel_basis
 from crystallograph.rootsys import SignedPermutation, roots_a, weyl_apply, weyl_group
 
-from brute_force import all_bichromatic_graphs, reference_json
+from brute_force import all_bichromatic_graphs, reference_json, reference_slot_mask
 
 
 def test_is_crystallograph_classical_graphs():
@@ -431,7 +433,7 @@ def test_classify_projective_components_checks_quasi_once(monkeypatch):
         return is_quasi_crystallograph(g)
 
     monkeypatch.setattr(crystal, "is_quasi_crystallograph", counted)
-    classify_components.cache_clear()
+    _clear_memos()
     classify_projective_components(classical.projective_graph_exotic_bd(1, 2))
     assert len(calls) == 1
 
@@ -713,49 +715,117 @@ def test_counting_the_orbits_canonicalises_nothing(monkeypatch):
 # ---------------------------------------------------------------------------
 # the graph-level memos
 
+# each answer's memo by (n, mask) up to _TABLE_MAX_N nodes, and by graph above
+MASK_MEMOS = (crystal._mask_closed, crystal._mask_classified)
+GRAPH_MEMOS = (crystal._edges_closed, crystal._graph_classified)
+
+
+def _clear_memos():
+    for memo in MASK_MEMOS + GRAPH_MEMOS:
+        memo.cache_clear()
+
+
+def _model_unions(n, count, seed):
+    """`count` seeded unions of typed models on n nodes, with one-edge-off
+    near-misses of the first few, so both answers of each check occur."""
+    rng = random.Random(seed)
+    unions = [oracle.random_crystallograph(n, rng) for _ in range(count)]
+    misses = []
+    for g in unions[:10]:
+        edges = sorted(g.edges)
+        for drop in rng.sample(edges, min(3, len(edges))):
+            misses.append(graph(n, [e for e in edges if e != drop]))
+    return unions + misses
+
 
 def _memo_cases():
-    """Every bichromatic graph with n <= 3 and every quasi-crystallograph at
-    n = 4, each with an equal graph built from a fresh edge set."""
+    """Every bichromatic graph with n <= 3, every quasi-crystallograph at
+    n = 4 and seeded model unions at n = 9 and 12, above `_TABLE_MAX_N`;
+    each with an equal graph built from a fresh edge set, whose slot mask
+    is not cached yet."""
     cases = [g for n in range(4) for g in all_bichromatic_graphs(n)]
     cases += enumerate_crystallographs(4, "quasi")
+    cases += _model_unions(9, 40, 9) + _model_unions(12, 40, 12)
     return [(g, ColouredGraph(g.n, set(g.edges))) for g in cases]
 
 
 def test_memoised_answers_equal_direct_ones():
-    closed_direct = crystal._graph_closed.__wrapped__
-    classify_direct = classify_components.__wrapped__
-    quasi = 0
+    _clear_memos()
+    quasi = large = 0
     for g, twin in _memo_cases():
         for propagating in (CRYSTAL_PROPAGATING, QUASI_PROPAGATING):
-            expected = closed_direct(g, propagating)
+            expected = crystal._edges_closed.__wrapped__(g, propagating)
+            if g.n <= crystal._TABLE_MAX_N:
+                assert expected == closed(reference_slot_mask(g), closure_rules(g.n, propagating))
             assert crystal._graph_closed(g, propagating) == expected, graph_to_json(g)
             assert crystal._graph_closed(twin, propagating) == expected, graph_to_json(g)
-        if closed_direct(g, QUASI_PROPAGATING):
-            quasi += 1
-            expected = classify_direct(g)
+        if crystal._edges_closed.__wrapped__(g, QUASI_PROPAGATING):
+            quasi += g.n <= 4
+            large += g.n > crystal._TABLE_MAX_N
+            expected = crystal._classified(g)
             assert classify_components(g) == expected, graph_to_json(g)
             assert classify_components(twin) == expected, graph_to_json(g)
+        else:
+            for h in (g, twin):
+                with pytest.raises(ValueError, match="needs a quasi-crystallograph"):
+                    classify_components(h)
     assert quasi == sum(oracle.count_quasi_crystallographs(n) for n in range(5))
+    assert large >= 80
+    # every case on at most _TABLE_MAX_N nodes went to the mask memos, every
+    # larger one to the graph memos, which stay at their bound
+    assert all(memo.cache_info().currsize == crystal._MASK_MEMO_SIZE for memo in MASK_MEMOS)
+    assert all(memo.cache_info().currsize == crystal._MEMO_SIZE for memo in GRAPH_MEMOS)
 
 
 def test_equal_graphs_share_memo_entries():
-    g = classical.graph_bc(3)
-    twin = graph(3, list(g.edges))
-    assert twin is not g
-    for memo, rest in ((classify_components, ()), (crystal._graph_closed, (CRYSTAL_PROPAGATING,))):
-        memo.cache_clear()
-        first = memo(g, *rest)
-        assert memo(twin, *rest) is first
-        info = memo.cache_info()
-        assert (info.hits, info.misses) == (1, 1)
+    # by slot mask up to _TABLE_MAX_N nodes, by graph value above
+    for n, memos in ((3, MASK_MEMOS), (9, GRAPH_MEMOS)):
+        g = classical.graph_bc(n)
+        twin = graph(n, list(g.edges))
+        assert twin is not g
+        checks = (partial(crystal._graph_closed, propagating=CRYSTAL_PROPAGATING), classify_components)
+        for check, memo in zip(checks, memos):
+            _clear_memos()
+            first = check(g)
+            assert check(twin) is first
+            info = memo.cache_info()
+            assert (info.hits, info.misses) == (1, 1)
 
 
 def test_classify_raises_on_every_call_for_non_quasi():
-    path = graph(3, [straight(1, 2, RED), straight(2, 3, RED)])
-    classify_components.cache_clear()
-    for _ in range(3):
-        with pytest.raises(ValueError):
-            classify_components(path)
-    info = classify_components.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (0, 3, 0)
+    cases = [
+        (graph(3, [straight(1, 2, RED), straight(2, 3, RED)]), crystal._mask_classified),
+        (graph(9, [straight(1, 2, RED), straight(2, 3, RED)]), crystal._graph_classified),
+        (graph(2, [loop(1, BLUE)], TRICHROMATIC), crystal._graph_classified),
+    ]
+    for g, memo in cases:
+        _clear_memos()
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                classify_components(g)
+        info = memo.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 3, 0)
+
+
+def test_the_mask_memos_hold_no_graph():
+    # a graph on at most _TABLE_MAX_N nodes dies with its last outside
+    # reference; a larger one is held only until _MEMO_SIZE others pass
+    _clear_memos()
+    small = [classical.graph_bc(3), classical.graph_pairs_and_points(2, 1), classical.graph_c_plus_d(3, 5)]
+    small += enumerate_crystallographs(4, "quasi")
+    refs = []
+    for g in small:
+        assert classify_components(g) is classify_components(g)
+        assert is_crystallograph(g) == is_crystallograph(g)
+        refs.append(weakref.ref(g))
+    del g, small
+    assert [r() for r in refs] == [None] * len(refs)
+    large = classical.graph_b(9)
+    classify_components(large)
+    ref = weakref.ref(large)
+    del large
+    assert ref() is not None
+    for m in range(10, 10 + crystal._MEMO_SIZE):
+        classify_components(classical.graph_b(m))
+        is_crystallograph(classical.graph_b(m))
+    assert ref() is None

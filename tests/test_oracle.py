@@ -308,19 +308,28 @@ def test_nested_pairs_exhaustive_matches_subgraph_scan():
 
 
 def test_pair_failures_classifies_each_subgraph_once(exhaustive_pairs):
-    # the six quotient routes of a pair ask for gp's report (the projective
-    # one for the lift of its projectification), and the restricted
-    # arrangement for the lifted projectified quotient's; the memo computes
-    # each distinct graph once per pair
-    classify_components.cache_clear()
+    # a pair's quotient is computed once and read three more times; with
+    # the restricted system and the projective quotient that asks for gp's
+    # report three times (the projective one for the lift of its
+    # projectification), and the restricted arrangement asks for the lifted
+    # projectified quotient's.  Every graph here has at most 3 nodes, so
+    # the slot-mask memo holds all of them: each distinct one is computed
+    # once in the whole stream.
+    for memo in (crystal._mask_classified, crystal._graph_classified, quotient_graph):
+        memo.cache_clear()
     assert oracle.pair_failures(exhaustive_pairs) == []
-    info = classify_components.cache_info()
-    distinct = sum(
-        len({gp, lift(projectify(gp)), lift(projectify(quotient_graph(g, gp)))})
+    quotients = quotient_graph.cache_info()
+    assert (quotients.hits, quotients.misses) == (3 * len(exhaustive_pairs), len(exhaustive_pairs))
+    info = crystal._mask_classified.cache_info()
+    distinct = {
+        (h.n, slot_mask(h))
         for g, gp in exhaustive_pairs
-    )
-    assert info.misses <= distinct
-    assert info.hits + info.misses == 7 * len(exhaustive_pairs)
+        for h in (gp, lift(projectify(gp)), lift(projectify(quotient_graph(g, gp))))
+    }
+    assert len(distinct) < crystal._MASK_MEMO_SIZE
+    assert info.misses == len(distinct)
+    assert info.hits + info.misses == 4 * len(exhaustive_pairs)
+    assert crystal._graph_classified.cache_info().currsize == 0
 
 
 def test_pair_failures_labels_only_failing_pairs(monkeypatch):

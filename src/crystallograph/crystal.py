@@ -586,7 +586,7 @@ def _match_component(nodes: tuple[int, ...], edges: list[Edge]) -> Component:
 
 
 def _classified(g: ColouredGraph) -> ComponentReport:
-    """`classify_components` without its memos."""
+    """The classification behind both memos of `classify_components`."""
     if not is_quasi_crystallograph(g):
         raise ValueError("classify_components needs a quasi-crystallograph")
     return ComponentReport(

@@ -14,12 +14,13 @@ still doubles but the green loop need not propagate.  A projective
 crystallograph is read through `graphs.lift`: a trichromatic graph whose
 loops are all blue and whose lift (blue repainted green) is a crystallograph.
 
-Every graph is an integer mask over one slot layout, `all_edge_slots`: the
-n^2 + n bichromatic edges (straight pairs, then red and green loops), then
-the n blue loops.  `_slot` computes an edge's slot and is the only encoder;
-`slot_mask` ORs it over a graph's edges, and `graph_from_slot_mask` decodes
-a mask with the cached slot tuple of the graph's palette.  A bichromatic
-graph never sets a blue bit; the blue slots serve `orbit_canonical`.
+Every graph is an integer mask over one slot layout,
+`graphs.all_edge_slots`: the n^2 + n bichromatic edges (straight pairs,
+then red and green loops), then the n blue loops.  `_slot` computes an
+edge's slot and is the only encoder; `slot_mask` ORs it over a graph's
+edges, and `graph_from_slot_mask` decodes a mask with the cached slot
+tuple of the graph's palette.  A bichromatic graph never sets a blue bit;
+the blue slots serve `orbit_canonical`.
 
 Both rules are Horn implications "slot s and slot t force these slots" over
 the n^2 + n bichromatic slots, in two configurations: every loop colour
@@ -61,13 +62,15 @@ packed by `_mask_key` (and the rule set's bit, for closure): the graph
 caches its slot mask, so the key is free after the first encoding, equal
 graphs built apart share an entry, and no memo holds a graph.  A
 classification miss decodes the mask afresh, and the reports share their
-`Component` objects through `_shared`.  Each of the two is a
-`functools.lru_cache` of `_MASK_MEMO_SIZE` entries, sized to the pair
-stream's working set.  Larger graphs and trichromatic input go to memos
-keyed by the graph, of `_MEMO_SIZE` entries, as nested pairs do in
-`quotient.quotient_graph`: an unbounded memo, or one kept on each graph,
-would hold on to the graphs of a whole sweep and raise the peak memory of
-`verify`.  Exceptions are never cached.  The sweep-long memo of the
+`Component` objects through `_shared`.  Both are `functools.lru_cache`s:
+the closure memo of `_MASK_MEMO_SIZE` entries, sized to the pair stream's
+working set, and the classification memo of `_CLASSIFIED_MEMO_SIZE`,
+which also holds every report of `verify`'s classification suite until
+the kernel suite reads the same graphs next.  Larger graphs and
+trichromatic input go to memos keyed by the graph, of `_MEMO_SIZE`
+entries, as nested pairs do in `quotient.quotient_graph`: an unbounded
+memo, or one kept on each graph, would hold on to the graphs of a whole
+sweep and raise the peak memory of `verify`.  Exceptions are never cached.  The sweep-long memo of the
 `oracle` suites, which skips repeated draws, is keyed by slot-mask ints
 for the same reason (see `oracle._replayed_failures`).
 
@@ -114,11 +117,13 @@ from .graphs import (
     RED,
     TRICHROMATIC,
     _EDGE_MEMO_SIZE,
+    _TABLE_MAX_N,
     ColouredGraph,
     Edge,
     _json_frame,
     _set_slot_mask,
     _slot_texts,
+    all_edge_slots,
     connected_components,
     disjoint_union,
     dump_json,
@@ -321,24 +326,24 @@ def closed_masks(rules: HornRules, within: int | None = None):
                 stack.append((child, bit.bit_length()))
 
 
-# Graphs on at most this many nodes are checked against the cached full
-# table, which is faster there; larger ones with `_edges_closed`.
-_TABLE_MAX_N = 8
-
-# Entries of each memo keyed by `_mask_key` ints (`_mask_closed`,
-# `_mask_classified`).  `verify --nodes 4` draws 10,000 pairs, 4,005 of
-# them distinct, and classifies 1,142 distinct graphs 17,916 times.  Swept
-# over 256, 512, 1,024 and 2,048 entries, the classification misses there
-# are 6,868, 4,036, 2,539 and 1,142, and the process's CPU time (median of
-# five fresh runs, 2-vCPU Xeon, Python 3.11.7) 1.41, 1.33, 1.29 and 1.20 s
-# against 1.78 s with graph-keyed memos of 8 entries, while its peak RSS
-# grows by 0.1, 0.3, 0.5 and 0.6 MB over 16.6 MB.  `verify --nodes 6
-# --samples 2000` takes 1.29, 1.33, 1.21 and 1.10 s against 1.26 s, and
-# grows by 0.1, 0.3, 0.4 and 0.9 MB over 17.0 MB.  An entry holds about
-# 0.3 kB for a report and 0.16 kB for a closure answer (tracemalloc):
-# 1,024 is the largest size that keeps both runs within 3% of their peak
-# memory.
+# Entries of the closure memo, `_mask_closed`, keyed by `_mask_key` ints,
+# sized to the pair stream's working set: `verify --nodes 4` draws 10,000
+# pairs, 4,005 of them distinct.  An answer holds about 0.16 kB
+# (tracemalloc).  Doubling it to 2,048 saved no CPU time at n = 4 and about
+# 4% at n = 6 (`--samples 2000`), for about 0.4 MB more peak RSS at both.
 _MASK_MEMO_SIZE = 1024
+# Entries of the classification memo, `_mask_classified`, a report holding
+# about 0.3 kB.  It must hold every graph of `verify`'s classification
+# suite until the kernel suite classifies the same graphs: the 1,080 swept
+# crystallographs at n <= `oracle.SCAN_LIMIT`, or a stream of at most 2,000
+# draws above it.  At 1,024 entries that scan missed on every graph of the
+# second pass; at 2,048 it misses on none.  With the closure memo at 1,024,
+# moving this one from 1,024 to 2,048 cut the classifications of `verify
+# --nodes 4` from 2,539 to 1,142 and its process CPU time from 1.07 to
+# 0.99 s, and at n = 6 from 1.06 to 1.01 s, for 0.3 MB more peak RSS at
+# n = 6 and none at n = 4 (medians of five fresh runs, 2-vCPU Xeon, Python
+# 3.11.7).
+_CLASSIFIED_MEMO_SIZE = 2048
 # Entries of each memo keyed by graphs (`_edges_closed`, `_graph_classified`,
 # `quotient.quotient_graph`): graphs above `_TABLE_MAX_N`, trichromatic
 # input, and nested pairs.  The repeats come in runs over the few graphs of
@@ -594,7 +599,7 @@ def _classified(g: ColouredGraph) -> ComponentReport:
     )
 
 
-@lru_cache(maxsize=_MASK_MEMO_SIZE)
+@lru_cache(maxsize=_CLASSIFIED_MEMO_SIZE)
 def _mask_classified(key: int) -> ComponentReport:
     """`_classified` of the graph whose `_mask_key` is key, decoded afresh."""
     return _classified(graph_from_slot_mask(key & 15, key >> 4))
@@ -662,23 +667,6 @@ def rank(g: ColouredGraph) -> int:
 
 # ---------------------------------------------------------------------------
 # enumeration
-
-
-@cache
-def all_edge_slots(n: int, palette: str = BICHROMATIC) -> tuple[Edge, ...]:
-    """The edges a graph of this palette on n nodes can hold, in slot order:
-    the n^2 + n bichromatic edges, then the n blue loops when trichromatic."""
-    if palette == TRICHROMATIC:
-        return all_edge_slots(n) + tuple(loop(k, BLUE) for k in range(1, n + 1))
-    slots: list[Edge] = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            slots.append(straight(i, j, RED))
-            slots.append(straight(i, j, GREEN))
-    for k in range(1, n + 1):
-        slots.append(loop(k, RED))
-        slots.append(loop(k, GREEN))
-    return tuple(slots)
 
 
 def graph_from_slot_mask(n: int, mask: int, palette: str = BICHROMATIC) -> ColouredGraph:

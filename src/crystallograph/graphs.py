@@ -38,7 +38,10 @@ sizes every memo keyed by an edge, these four and `crystal._slot_bit`.
 
 Graphs are immutable values; equality is literal (same node count, same edge
 set).  The constructor freezes whatever edge iterable it is given, so every
-graph hashes and can key a cache.  A graph also caches its slot mask, which
+graph hashes and can key a cache, and validates it: on at most
+`_TABLE_MAX_N` nodes one subset test against the palette's legal edges,
+read from the one slot list `all_edge_slots`, accepts it, and otherwise
+each edge is checked in turn.  A graph also caches its slot mask, which
 `crystal` fills (`_set_slot_mask`) and keys its memos by; the cache is no
 part of the value.  The canonical JSON form and the DOT export are
 byte-deterministic.
@@ -62,7 +65,8 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from functools import lru_cache
+from functools import cache, lru_cache
+from itertools import chain, repeat
 from math import gcd
 
 from .rootsys import Root, RootSet, SignedPermutation
@@ -128,9 +132,47 @@ def edge_sort_key(e: Edge) -> tuple:
     return (kind, e.ends[0], e.ends[-1], e.colour)
 
 
+@cache
+def all_edge_slots(n: int, palette: str = BICHROMATIC) -> tuple[Edge, ...]:
+    """The edges a graph of this palette on n nodes can hold, in slot order:
+    the n^2 + n bichromatic edges, then the n blue loops when trichromatic."""
+    if palette == TRICHROMATIC:
+        return all_edge_slots(n) + tuple(loop(k, BLUE) for k in range(1, n + 1))
+    slots: list[Edge] = []
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            slots.append(straight(i, j, RED))
+            slots.append(straight(i, j, GREEN))
+    for k in range(1, n + 1):
+        slots.append(loop(k, RED))
+        slots.append(loop(k, GREEN))
+    return tuple(slots)
+
+
+# Graphs on at most this many nodes are validated by one set test against
+# their legal edges, and `crystal` checks their closure against its cached
+# full table and memoises their answers by slot mask; larger graphs are
+# checked edge by edge (`crystal._edges_closed`).
+_TABLE_MAX_N = 8
+# Entries of `_legal_edges`: one per palette and node count up to _TABLE_MAX_N.
+_LEGAL_MEMO_SIZE = 2 * (_TABLE_MAX_N + 1)
+
+
+@lru_cache(maxsize=_LEGAL_MEMO_SIZE)
+def _legal_edges(n: int, palette: str) -> frozenset[Edge]:
+    """The set of `all_edge_slots(n, palette)`: every edge in node range 1..n
+    whose colour the palette allows there, and no other."""
+    return frozenset(all_edge_slots(n, palette))
+
+
 class ColouredGraph:
     """A coloured graph on nodes 1..n: an immutable value, compared and hashed
     by (n, edges, palette) and equal only to another ColouredGraph.
+
+    The constructor validates every edge set.  On at most `_TABLE_MAX_N`
+    nodes one subset test against `_legal_edges` accepts it; otherwise, and
+    whenever that test fails, each edge's range and colour are checked in
+    turn, so the error names the first bad edge found.
 
     `_slot_mask` caches the graph's `crystal.slot_mask`, None until the
     decoder or the first encoding fills it; equality, hashing, copying and
@@ -148,12 +190,16 @@ class ColouredGraph:
             raise ValueError("node count must be >= 0")
         if palette not in (BICHROMATIC, TRICHROMATIC):
             raise ValueError(f"unknown palette: {palette!r}")
-        for e in edges:
-            # the ends are sorted, so the first and last bound them all
-            if not (e.ends[0] >= 1 and e.ends[-1] <= n):
-                raise ValueError(f"edge {e} out of node range 1..{n}")
-            if e.colour == BLUE and (palette == BICHROMATIC or not e.is_loop):
-                raise ValueError(f"blue is only legal on trichromatic loops: {e}")
+        if not (type(n) is int and n <= _TABLE_MAX_N and edges <= _legal_edges(n, palette)):
+            # larger graphs, node counts that are no int, and any edge set
+            # the legal set does not take are checked edge by edge, so a
+            # bad edge is named
+            for e in edges:
+                # the ends are sorted, so the first and last bound them all
+                if not (e.ends[0] >= 1 and e.ends[-1] <= n):
+                    raise ValueError(f"edge {e} out of node range 1..{n}")
+                if e.colour == BLUE and (palette == BICHROMATIC or not e.is_loop):
+                    raise ValueError(f"blue is only legal on trichromatic loops: {e}")
         _set_n(self, n)
         _set_edges(self, edges)
         _set_palette(self, palette)
@@ -228,11 +274,7 @@ def roots_from_graph(g: ColouredGraph) -> RootSet:
     """The symmetric subset of BC_n encoded by a bichromatic graph."""
     if g.palette != BICHROMATIC:
         raise ValueError("roots_from_graph needs a bichromatic graph")
-    n = g.n
-    out: set[Root] = set()
-    for e in g.edges:
-        out.update(_root_pair(n, e))
-    return frozenset(out)
+    return frozenset(chain.from_iterable(map(_root_pair, repeat(g.n), g.edges)))
 
 
 def graph_from_roots(phi, n: int | None = None) -> ColouredGraph:

@@ -7,7 +7,7 @@ agreement between the two routes is the evidence the library stands on.
 The workhorse is a bitmask representation of symmetric subsets of BC_n.
 Opposite root pairs +-alpha are "lines"; a symmetric subset is a set of
 lines, i.e. an integer mask over the n^2 + n lines, numbered by the edge
-slots of `crystal.all_edge_slots`, so a graph's slot mask is its line mask.
+slots of `graphs.all_edge_slots`, so a graph's slot mask is its line mask.
 Each reflection sigma_alpha permutes the lines, and a subset is a root
 subsystem exactly when sigma_a(b) lies in it for every two of its lines a
 and b.  `LineTables` keeps these images in one table, from `rootsys.reflect`
@@ -65,7 +65,6 @@ from .crystal import (
     Component,
     InconsistencyError,
     _weyl_orbit_masks,
-    all_edge_slots,
     bipartite_normalize,
     classify_components,
     closed,
@@ -81,6 +80,7 @@ from .crystal import (
 from .graphs import (
     BICHROMATIC,
     ColouredGraph,
+    all_edge_slots,
     dump_json,
     graph_to_json,
     roots_from_graph,
@@ -123,12 +123,16 @@ class LineTables:
     `images[a][b]` is the line of sigma_a(b), from `reflect` alone, and
     everything else here is read off that table.
 
+    `pair_images[a][b]` is the mask 1 << images[a][b] | 1 << images[b][a]
+    of the lines sigma_a(b) and sigma_b(a), read off `images` once.
+
     A mask is a subsystem when sigma_a(b) lies in it for every two of its
     lines a and b, which `is_subsystem` checks as stated.  `rules` states
     the same in the format of `crystal.closure_rules`: entry a lists
-    (1 << b, required) for each line b < a not orthogonal to it, required
-    holding the lines of sigma_a(b) and sigma_b(a), neither of them a or b.
-    `closure` is the worklist of `rootsys.reflection_closure` on lines.
+    (1 << b, pair_images[a][b]) for each line b < a not orthogonal to it:
+    the lines of sigma_a(b) and sigma_b(a), neither of them a or b.
+    `closure` is the worklist of `rootsys.reflection_closure` on lines,
+    which ORs the `pair_images` rows of the lines it reaches.
     """
 
     def __init__(self, n: int):
@@ -140,8 +144,11 @@ class LineTables:
         index = {rep: i for i, rep in enumerate(self.reps)}
         self.count = len(self.reps)
         images = self.images = [[index[_canon_line(reflect(a, b))] for b in self.reps] for a in self.reps]
+        pair_images = self.pair_images = [
+            [1 << images[a][b] | 1 << images[b][a] for b in range(self.count)] for a in range(self.count)
+        ]
         self.rules = tuple(
-            tuple((1 << b, 1 << row[b] | 1 << images[b][a]) for b in range(a) if row[b] != b)
+            tuple((1 << b, pair_images[a][b]) for b in range(a) if row[b] != b)
             for a, row in enumerate(images)
         )
 
@@ -152,16 +159,16 @@ class LineTables:
     def closure(self, mask: int) -> int:
         # each line leaving the worklist reflects each line done, and is
         # reflected by it, once; the lines this reaches join the worklist
-        images = self.images
+        pair_images = self.pair_images
         pending = [a for a in range(self.count) if mask >> a & 1]
         done: list[int] = []
         while pending:
             a = pending.pop()
             done.append(a)
-            row = images[a]
+            row = pair_images[a]
             reached = 0
             for b in done:
-                reached |= 1 << row[b] | 1 << images[b][a]
+                reached |= row[b]
             reached &= ~mask
             mask |= reached
             while reached:

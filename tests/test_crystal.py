@@ -772,8 +772,9 @@ def test_memoised_answers_equal_direct_ones():
     assert quasi == sum(oracle.count_quasi_crystallographs(n) for n in range(5))
     assert large >= 80
     # every case on at most _TABLE_MAX_N nodes went to the mask memos, every
-    # larger one to the graph memos, which stay at their bound
-    assert all(memo.cache_info().currsize == crystal._MASK_MEMO_SIZE for memo in MASK_MEMOS)
+    # larger one to the graph memos, and each stays at its own bound
+    sizes = [memo.cache_info().currsize for memo in MASK_MEMOS]
+    assert sizes == [crystal._MASK_MEMO_SIZE, crystal._CLASSIFIED_MEMO_SIZE]
     assert all(memo.cache_info().currsize == crystal._MEMO_SIZE for memo in GRAPH_MEMOS)
 
 

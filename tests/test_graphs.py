@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from crystallograph import classical, oracle
+from crystallograph import classical, graphs, oracle
 from crystallograph.graphs import (
     BICHROMATIC,
     BLUE,
@@ -21,6 +21,7 @@ from crystallograph.graphs import (
     ColouredGraph,
     Edge,
     Hyperplane,
+    all_edge_slots,
     arrangement_from_graph,
     connected_components,
     disjoint_union,
@@ -102,6 +103,58 @@ def test_graph_validation():
     with pytest.raises(ValueError):
         graph(2, [straight(1, 2, BLUE)], TRICHROMATIC)
     graph(2, [loop(1, BLUE)], TRICHROMATIC)
+
+
+def loop_check_error(n, edges, palette):
+    """The message of the edge-by-edge check of `ColouredGraph.__init__`, or
+    None when every edge passes; `edges` is read in its own order."""
+    for e in edges:
+        if not (e.ends[0] >= 1 and e.ends[-1] <= n):
+            return f"edge {e} out of node range 1..{n}"
+        if e.colour == BLUE and (palette == BICHROMATIC or not e.is_loop):
+            return f"blue is only legal on trichromatic loops: {e}"
+    return None
+
+
+def _bad_edges(n):
+    """Node-0 ends, node-(n + 1) ends, blue straight edges and a blue loop."""
+    return [loop(0, RED), straight(0, 1, GREEN), loop(n + 1, GREEN), straight(1, max(n + 1, 2), RED),
+            straight(1, 2, BLUE), straight(n + 1, n + 2, BLUE), loop(1, BLUE)]
+
+
+@pytest.mark.parametrize("palette", [BICHROMATIC, TRICHROMATIC])
+def test_the_set_test_accepts_and_rejects_what_the_edge_loop_does(palette):
+    # on both sides of _TABLE_MAX_N, where the graph is checked edge by edge
+    for n in range(graphs._TABLE_MAX_N + 2):
+        slots = all_edge_slots(n, palette)
+        bad = [e for e in all_edge_slots(n, TRICHROMATIC) + tuple(_bad_edges(n)) if e not in slots]
+        cases = [frozenset(slots)] + [frozenset((e,)) for e in slots + tuple(bad)]
+        cases += [frozenset(slots) | {e} for e in bad] + [frozenset(bad), frozenset(slots) | frozenset(bad)]
+        for edges in cases:
+            # the constructor reads this same frozenset, so in the same order
+            expected = loop_check_error(n, edges, palette)
+            if expected is None:
+                assert ColouredGraph(n, edges, palette).edges is edges
+            else:
+                with pytest.raises(ValueError) as raised:
+                    ColouredGraph(n, edges, palette)
+                assert str(raised.value) == expected
+        # every edge the loop passes is a slot, and every slot passes
+        assert [e for e in slots + tuple(bad) if loop_check_error(n, (e,), palette) is None] == list(slots)
+
+
+def test_only_graphs_up_to_the_table_bound_read_the_legal_sets():
+    graphs._legal_edges.cache_clear()
+    big = graphs._TABLE_MAX_N + 1
+    ColouredGraph(big, all_edge_slots(big))
+    with pytest.raises(ValueError, match=f"out of node range 1..{big}"):
+        ColouredGraph(big, [loop(big + 1, RED)])
+    assert graphs._legal_edges.cache_info().currsize == 0
+    for palette in (BICHROMATIC, TRICHROMATIC):
+        for n in range(big):
+            ColouredGraph(n, all_edge_slots(n, palette), palette)
+    info = graphs._legal_edges.cache_info()
+    assert (info.currsize, info.maxsize) == (2 * big, graphs._LEGAL_MEMO_SIZE)
 
 
 def test_graph_freezes_its_edges():

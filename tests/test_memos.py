@@ -38,7 +38,8 @@ GRAPH_MEMOS = (
 # every table built once per node count
 PER_N_TABLES = (
     "crystal.closure_rules",
-    "crystal.all_edge_slots",
+    "graphs.all_edge_slots",
+    "graphs._legal_edges",
     "crystal._generator_tables",
     "graphs._slot_texts",
     "oracle.line_tables",
@@ -123,12 +124,15 @@ def test_importing_the_cli_fills_no_value_memo():
 
 
 # Misses of the two slot-mask memos in `verify_all(4, samples=2000)` from
-# empty memos, measured at 2,388 classifications and 5,145 closure checks
-# with `_MASK_MEMO_SIZE` = 1,024 entries; the bounds are about 1.5 times
-# those.  The swept suites' 2 x 1,080 crystallographs each miss once, the
-# sampled pair stream misses again only what it has not drawn lately: at
-# 64 entries the counts are 4,655 and 10,685, at 8 entries 5,935 and 12,292.
-WORKING_SET_MISSES = {"_mask_classified": 3600, "_mask_closed": 7700}
+# empty memos, measured at 1,134 classifications and 3,554 closure checks
+# with `_CLASSIFIED_MEMO_SIZE` = 2,048 and `_MASK_MEMO_SIZE` = 1,024
+# entries; the bounds are about 1.5 times those.  The swept 1,080
+# crystallographs miss once, in the classification suite, and the sampled
+# pair stream misses again only what it has not drawn lately.  With 1,024
+# classification entries the counts were 2,388 and 5,145, since the kernel
+# suite missed on every swept graph again; at 64 entries each 4,655 and
+# 10,685, at 8 entries 5,935 and 12,292.
+WORKING_SET_MISSES = {"_mask_classified": 1700, "_mask_closed": 5300}
 
 
 def test_verify_keeps_the_pair_streams_working_set():
@@ -139,6 +143,31 @@ def test_verify_keeps_the_pair_streams_working_set():
     assert failures == []
     misses = {name: memo.cache_info().misses for name, memo in memos.items()}
     assert all(misses[name] <= bound for name, bound in WORKING_SET_MISSES.items()), misses
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_the_kernel_suite_reads_the_classification_suites_reports(n, monkeypatch):
+    # the swept list at n = 4 and the two sampled streams at n = 5: the
+    # classification memo holds every report of the first pass for the second
+    memo = crystal._mask_classified
+    misses = {}
+
+    def counted(suite):
+        def run(graphs):
+            before = memo.cache_info().misses
+            lines = suite(graphs)
+            misses[suite.__name__] = memo.cache_info().misses - before
+            return lines
+
+        return run
+
+    for name in ("classification_failures", "kernel_failures"):
+        monkeypatch.setattr(oracle, name, counted(getattr(oracle, name)))
+    memo.cache_clear()
+    _, _, failures = oracle._graph_failures(n, 2000, oracle.RNG_DEFAULT_SEED)
+    assert failures == []
+    assert misses["classification_failures"] > 1000
+    assert misses["kernel_failures"] == 0
 
 
 # ---------------------------------------------------------------------------

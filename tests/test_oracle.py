@@ -94,6 +94,22 @@ def test_line_tables_closure_matches_naive():
         assert tables.mask_to_roots(closed) == reflection_closure(tables.mask_to_roots(mask))
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_pair_images_are_read_off_the_image_table(n):
+    tables = line_tables(n)
+    images = tables.images
+    assert [[tables.pair_images[a][b] for b in range(tables.count)] for a in range(tables.count)] == [
+        [1 << images[a][b] | 1 << images[b][a] for b in range(tables.count)] for a in range(tables.count)
+    ]
+
+
+def test_line_tables_closure_matches_naive_exhaustive_n2():
+    tables = line_tables(2)
+    for mask in range(1 << tables.count):
+        closed = tables.closure(mask)
+        assert tables.mask_to_roots(closed) == reflection_closure(tables.mask_to_roots(mask))
+
+
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_line_tables_match_the_root_set_references_on_seeded_closures(n):
     # uniform masks are almost never closed at n >= 5, so draw sub-masks of
@@ -326,7 +342,7 @@ def test_pair_failures_classifies_each_subgraph_once(exhaustive_pairs):
         for g, gp in exhaustive_pairs
         for h in (gp, lift(projectify(gp)), lift(projectify(quotient_graph(g, gp))))
     }
-    assert len(distinct) < crystal._MASK_MEMO_SIZE
+    assert len(distinct) < crystal._CLASSIFIED_MEMO_SIZE
     assert info.misses == len(distinct)
     assert info.hits + info.misses == 4 * len(exhaustive_pairs)
     assert crystal._graph_classified.cache_info().currsize == 0
